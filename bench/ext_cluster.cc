@@ -39,7 +39,6 @@
 //   --join-every K      every K-th job is an equi-join (0 = off,
 //                       default 64)
 //   --policy P          adaptive|cpu|fpga|round-robin (default adaptive)
-//   --sim_mode M        reference|fast|analytical     (default fast)
 //   --sim_cache B       1 = memoize device run results (default 0)
 #include <algorithm>
 #include <array>
@@ -82,7 +81,6 @@ struct Options {
   size_t top_k = 4;
   uint64_t join_every = 64;
   svc::PlacementPolicy policy = svc::PlacementPolicy::kAdaptive;
-  SimMode sim_mode = SimMode::kFast;
   bool sim_cache = false;
 };
 
@@ -171,7 +169,6 @@ int Run(const Options& opt) {
   config.node.policy = opt.policy;
   config.node.queue_capacity =
       opt.queue > 0 ? opt.queue : (opt.deterministic ? opt.jobs : 256);
-  config.node.sim_mode = opt.sim_mode;
   config.node.sim_cache = opt.sim_cache;
   dist::Cluster cluster(config);
 
@@ -210,7 +207,6 @@ int Run(const Options& opt) {
           spec.request.fanout = 2048;
           spec.request.hash = HashMethod::kMurmur;
           spec.request.output_mode = OutputMode::kHist;
-          spec.request.sim_mode = opt.sim_mode;
           spec.request.sim_cache = opt.sim_cache;
           return cluster.Submit(job_key[i], job_origin[i], spec, jopts);
         }();
@@ -334,7 +330,6 @@ int Run(const Options& opt) {
   report.ConfigUInt("rebalance_top_k", opt.top_k);
   report.ConfigUInt("join_every", opt.join_every);
   report.ConfigStr("policy", svc::PlacementPolicyName(opt.policy));
-  report.ConfigStr("sim_mode", SimModeName(opt.sim_mode));
   report.ConfigUInt("sim_cache", opt.sim_cache ? 1 : 0);
   report.ConfigDouble("link_gbs", config.network.link_gbs);
   report.ConfigDouble("scale", BenchScale());
@@ -488,12 +483,6 @@ int main(int argc, char** argv) {
       } else {
         std::fprintf(stderr,
                      "--policy must be adaptive|cpu|fpga|round-robin\n");
-        return 2;
-      }
-    } else if (fpart::ParseFlag(argc, argv, &i, "--sim_mode", &v)) {
-      if (!fpart::ParseSimMode(v, &opt.sim_mode)) {
-        std::fprintf(stderr,
-                     "--sim_mode must be reference|fast|analytical\n");
         return 2;
       }
     } else if (fpart::ParseFlag(argc, argv, &i, "--sim_cache", &v)) {

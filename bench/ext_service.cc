@@ -36,8 +36,6 @@
 //                      `fpga` pins every job to the device pool — the
 //                      device-bound load that shows pool throughput
 //                      scaling with --fpga_devices
-//   --sim_mode M       reference|fast|analytical simulator backend for
-//                      every device run (default fast)
 //   --sim_cache B      1 = memoize device run results keyed by
 //                      config+input digest (default 0)
 //   --sim_cache_warmup B  1 = pre-run every distinct device-run shape in
@@ -45,9 +43,6 @@
 //                      measured throughput sees a hot sim cache instead
 //                      of the cold first-run cost per shape (requires
 //                      --sim_cache 1; default 0)
-//   --xcheck F         analytical only: fraction of device runs
-//                      re-executed on the fast engine to cross-check
-//                      outputs and predicted cycles (default 0)
 //   --affinity P       none|compact|scatter|numa-local worker pinning
 //                      (default: FPART_AFFINITY or none). Pinning changes
 //                      only where threads run — the deterministic replay
@@ -103,10 +98,8 @@ struct Options {
   bool deterministic = true;
   uint64_t join_every = 64;
   svc::PlacementPolicy policy = svc::PlacementPolicy::kAdaptive;
-  SimMode sim_mode = SimMode::kFast;
   bool sim_cache = false;
   bool sim_cache_warmup = false;
-  double xcheck = 0.0;
   AffinityPolicy affinity = AffinityPolicyFromEnv();
   bool admission = false;
   std::array<double, svc::kNumJobClasses> slo_seconds = {0.5, 2.0, 8.0};
@@ -220,9 +213,7 @@ int Run(const Options& opt) {
         req.fanout = 2048;
         req.hash = HashMethod::kMurmur;
         req.output_mode = OutputMode::kHist;
-        req.sim_mode = opt.sim_mode;
         req.sim_cache = opt.sim_cache;
-        req.xcheck = opt.xcheck;
         auto r = RunPartition<Tuple8>(req, tables[c]);
         if (!r.ok()) {
           std::fprintf(stderr, "warmup partition failed: %s\n",
@@ -238,9 +229,7 @@ int Run(const Options& opt) {
         fpga.output_mode = OutputMode::kHist;
         fpga.layout = LayoutMode::kRid;
         fpga.link = LinkKind::kXeonFpga;
-        fpga.sim_mode = opt.sim_mode;
         fpga.sim_cache = opt.sim_cache;
-        fpga.xcheck = opt.xcheck;
         for (const Relation<Tuple8>* side : {&join_r[c], &join_s[c]}) {
           auto r = internal::HybridPartition(fpga, *side);
           if (!r.ok()) {
@@ -266,9 +255,7 @@ int Run(const Options& opt) {
   config.policy = opt.policy;
   config.queue_capacity =
       opt.queue > 0 ? opt.queue : (opt.deterministic ? opt.jobs : 256);
-  config.sim_mode = opt.sim_mode;
   config.sim_cache = opt.sim_cache;
-  config.xcheck = opt.xcheck;
   config.affinity = opt.affinity;
   config.name = "svc";
   config.slo.enabled = opt.admission;
@@ -339,9 +326,7 @@ int Run(const Options& opt) {
           spec.request.fanout = 2048;
           spec.request.hash = HashMethod::kMurmur;
           spec.request.output_mode = OutputMode::kHist;
-          spec.request.sim_mode = opt.sim_mode;
           spec.request.sim_cache = opt.sim_cache;
-          spec.request.xcheck = opt.xcheck;
           return scheduler.Submit(spec, jopts);
         }();
         if (handle.ok()) {
@@ -496,11 +481,9 @@ int Run(const Options& opt) {
   report.ConfigUInt("join_every", opt.join_every);
   report.ConfigStr("policy",
                    svc::PlacementPolicyName(config.policy));
-  report.ConfigStr("sim_mode", SimModeName(opt.sim_mode));
   report.ConfigUInt("sim_cache", opt.sim_cache ? 1 : 0);
   report.ConfigUInt("sim_cache_warmup",
                     (opt.sim_cache_warmup && opt.sim_cache) ? 1 : 0);
-  report.ConfigDouble("xcheck", opt.xcheck);
   report.ConfigStr("affinity", AffinityPolicyName(opt.affinity));
   report.ConfigUInt("admission", opt.admission ? 1 : 0);
   {
@@ -730,12 +713,6 @@ int main(int argc, char** argv) {
                      "--policy must be adaptive|cpu|fpga|round-robin\n");
         return 2;
       }
-    } else if (fpart::ParseFlag(argc, argv, &i, "--sim_mode", &v)) {
-      if (!fpart::ParseSimMode(v, &opt.sim_mode)) {
-        std::fprintf(stderr,
-                     "--sim_mode must be reference|fast|analytical\n");
-        return 2;
-      }
     } else if (fpart::ParseFlag(argc, argv, &i, "--sim_cache_warmup", &v)) {
       opt.sim_cache_warmup = std::strtoull(v.c_str(), nullptr, 10) != 0;
     } else if (fpart::ParseFlag(argc, argv, &i, "--sim_cache", &v)) {
@@ -744,12 +721,6 @@ int main(int argc, char** argv) {
       if (!fpart::ParseAffinityPolicy(v, &opt.affinity)) {
         std::fprintf(stderr,
                      "--affinity must be none|compact|scatter|numa-local\n");
-        return 2;
-      }
-    } else if (fpart::ParseFlag(argc, argv, &i, "--xcheck", &v)) {
-      opt.xcheck = std::strtod(v.c_str(), nullptr);
-      if (opt.xcheck < 0.0 || opt.xcheck > 1.0) {
-        std::fprintf(stderr, "--xcheck must be in [0, 1]\n");
         return 2;
       }
     } else if (fpart::ParseFlag(argc, argv, &i, "--admission", &v)) {

@@ -24,23 +24,8 @@ const char* SimModeName(SimMode mode) {
       return "reference";
     case SimMode::kFast:
       return "fast";
-    case SimMode::kAnalytical:
-      return "analytical";
   }
   return "unknown";
-}
-
-bool ParseSimMode(const std::string& name, SimMode* mode) {
-  if (name == "reference") {
-    *mode = SimMode::kReference;
-  } else if (name == "fast") {
-    *mode = SimMode::kFast;
-  } else if (name == "analytical") {
-    *mode = SimMode::kAnalytical;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace fpart

@@ -60,8 +60,7 @@ struct StreamStoreConfig {
   HashMethod hash = HashMethod::kMurmur;
   /// Backend of the ingest drains (the per-batch partitioner run).
   Engine drain_engine = Engine::kCpu;
-  /// FPGA drains only: simulator backend + result memoization.
-  SimMode sim_mode = SimMode::kAnalytical;
+  /// FPGA drains only: memoize drain runs in the sim-result cache.
   bool sim_cache = true;
   /// Bounded ingest buffer: Ingest() stages tuples here and drains
   /// synchronously when the bound is reached (backpressure by design —

@@ -461,6 +461,60 @@ TEST(FpgaPartitionerTest, ObservedReadWriteRatioMatchesMode) {
   EXPECT_NEAR(ratio(OutputMode::kPad, LayoutMode::kVrid), 0.5, 0.1);
 }
 
+// Pins the Section 4.8 model the svc placement prices FPGA jobs with
+// (FpgaCostModel::PredictSeconds, RID, Xeon link) against the simulated
+// circuit time (kFast cycles × 5 ns): uniform keys, pad_fraction 1.0.
+// Each cell is the measured gap (model − sim) / sim in percent; a model or
+// engine change that moves any cell by more than kSlackPct must re-pin the
+// table here. The small-job gaps are known and deliberately not fixed:
+// the model has no fixed per-job term.
+//
+//   output fanout      4K      32K      2M
+//   PAD     256     -38.8    -10.6    -0.3
+//   PAD    2048      -2.4    -54.6    -2.8
+//   PAD    8192      -0.6    -12.3   -10.5
+//   HIST    256      -4.9    -11.0    -3.6
+//   HIST   2048     +66.4    -25.6    -5.3
+//   HIST   8192     +74.7    +45.6   -10.7
+TEST(FpgaPartitionerTest, CostModelGapToSimulatedCyclesIsPinned) {
+  constexpr double kSlackPct = 2.0;
+  struct Row {
+    OutputMode mode;
+    uint32_t fanout;
+    double gap_pct[3];
+  };
+  const size_t sizes[3] = {size_t{1} << 12, size_t{1} << 15, size_t{1} << 21};
+  const Row table[] = {
+      {OutputMode::kPad, 256, {-38.8, -10.6, -0.3}},
+      {OutputMode::kPad, 2048, {-2.4, -54.6, -2.8}},
+      {OutputMode::kPad, 8192, {-0.6, -12.3, -10.5}},
+      {OutputMode::kHist, 256, {-4.9, -11.0, -3.6}},
+      {OutputMode::kHist, 2048, {66.4, -25.6, -5.3}},
+      {OutputMode::kHist, 8192, {74.7, 45.6, -10.7}},
+  };
+  for (int s = 0; s < 3; ++s) {
+    const size_t n = sizes[s];
+    auto rel = MakeRelation<Tuple8>(n, 48);
+    for (const Row& row : table) {
+      FpgaPartitionerConfig config;
+      config.fanout = row.fanout;
+      config.output_mode = row.mode;
+      config.pad_fraction = 1.0;
+      FpgaPartitioner<Tuple8> part(config);
+      auto run = part.Partition(rel.data(), n);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const double sim = run->stats.cycles * kFpgaClockPeriodSec;
+      const double model = FpgaCostModel(8, row.fanout)
+                               .PredictSeconds(n, row.mode, LayoutMode::kRid,
+                                               LinkKind::kXeonFpga);
+      const double gap_pct = (model - sim) / sim * 100.0;
+      EXPECT_NEAR(gap_pct, row.gap_pct[s], kSlackPct)
+          << OutputModeName(row.mode) << " fanout=" << row.fanout
+          << " n=" << n;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Resource model (Table 2).
 TEST(ResourceModelTest, ReproducesTable2) {
