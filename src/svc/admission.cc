@@ -112,12 +112,8 @@ const char* SizeClassName(size_t size_class) {
   }
 }
 
-AdmissionController::AdmissionController(const SloConfig& config,
-                                         size_t num_workers,
-                                         size_t num_devices)
-    : config_(config),
-      num_workers_(std::max<size_t>(1, num_workers)),
-      num_devices_(std::max<size_t>(1, num_devices)) {
+AdmissionController::AdmissionController(const SloConfig& config)
+    : config_(config) {
   for (auto& row : correction_bits_) {
     for (auto& cell : row) {
       cell.store(BitsOf(1.0), std::memory_order_relaxed);
@@ -131,11 +127,6 @@ double AdmissionController::correction(Backend backend,
   const size_t b = static_cast<size_t>(backend);
   const size_t s = std::min(size_class, kNumSizeClasses - 1);
   return DoubleOf(correction_bits_[b][s].load(std::memory_order_relaxed));
-}
-
-double AdmissionController::Correct(Backend backend, double demand_tuples,
-                                    double est_seconds) const {
-  return est_seconds * correction(backend, SizeClassOf(demand_tuples));
 }
 
 double AdmissionController::BudgetSeconds(JobClass cls,
@@ -162,8 +153,7 @@ void AdmissionController::ObserveRun(Backend backend, double demand_tuples,
     m.place_err[b][s]->Record(static_cast<uint64_t>(err_pct));
   }
 
-  if (!learn || !config_.learn || !config_.enabled ||
-      model_est_seconds <= 0.0) {
+  if (!learn || !config_.enabled || model_est_seconds <= 0.0) {
     return;
   }
   const double ratio = std::clamp(actual_seconds / model_est_seconds,

@@ -25,9 +25,10 @@
 //     recommended worker/device deltas, which bench/ext_service's
 //     --autoscale arm feeds back into Scheduler::SetActiveWorkers.
 //
-// Determinism: in deterministic mode learning is disabled (corrections
-// stay at 1.0) and the feasibility check runs dispatcher-side against the
-// virtual clocks in strict arrival order — so admitted jobs' placements
+// Determinism: on the scheduler's exact (virtual) clock, svc/clock.h, the
+// scheduler passes learn=false to ObserveRun (corrections stay at 1.0)
+// and judges feasibility at dispatch, in strict arrival order, against
+// the exact start the clock would commit — so admitted jobs' placements
 // are bit-identical to an admission-off replay, and the replay hash is
 // admission-policy-invariant whenever nothing is rejected.
 #pragma once
@@ -70,9 +71,6 @@ struct SloConfig {
   /// swing predictions by orders of magnitude.
   double correction_floor = 0.25;
   double correction_cap = 4.0;
-  /// Learn the EWMA from completed-job feedback (live mode only;
-  /// deterministic replays never learn, by design).
-  bool learn = true;
   /// Pressure hysteresis band for the autoscaling recommendation:
   /// above `pressure_high` recommend growth, below `pressure_low`
   /// recommend shrink, in between recommend nothing.
@@ -84,8 +82,7 @@ struct SloConfig {
 /// thread-safe (clients admit concurrently in live mode).
 class AdmissionController {
  public:
-  AdmissionController(const SloConfig& config, size_t num_workers,
-                      size_t num_devices);
+  explicit AdmissionController(const SloConfig& config);
 
   FPART_DISALLOW_COPY_AND_ASSIGN(AdmissionController);
 
@@ -94,9 +91,6 @@ class AdmissionController {
   /// Current correction factor of a (backend, size-class) cell (1.0 until
   /// learned).
   double correction(Backend backend, size_t size_class) const;
-  /// `est_seconds` scaled by the cell's correction factor.
-  double Correct(Backend backend, double demand_tuples,
-                 double est_seconds) const;
 
   /// The budget a job of `cls` with `deadline_seconds` (0 = none) is held
   /// to: min(deadline, class SLO), or +inf when neither applies.
@@ -179,8 +173,6 @@ class AdmissionController {
 
  private:
   const SloConfig config_;
-  const size_t num_workers_;
-  const size_t num_devices_;
 
   /// Correction factors, bit-cast doubles updated by CAS (completions
   /// race in live mode; a lost EWMA sample is acceptable, a torn double

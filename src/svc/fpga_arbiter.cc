@@ -137,14 +137,6 @@ double DevicePool::device_backlog_seconds(size_t device) const {
   return device < devices_.size() ? devices_[device].backlog_seconds : 0.0;
 }
 
-void DevicePool::SnapshotBacklogs(std::vector<double>* out) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  out->resize(devices_.size());
-  for (size_t i = 0; i < devices_.size(); ++i) {
-    (*out)[i] = devices_[i].backlog_seconds;
-  }
-}
-
 uint64_t DevicePool::grants() const {
   std::unique_lock<std::mutex> lock(mu_);
   uint64_t sum = 0;

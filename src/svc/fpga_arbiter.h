@@ -23,8 +23,8 @@
 // Backlog accounting: each device keeps its own backlog clock — the
 // summed *model-time* estimate of work charged to it at placement but not
 // yet credited back at completion. Placement reads the pool minimum as
-// the device queueing delay (FpgaCostModel::PredictPoolLatencySeconds)
-// and falls back to the CPU when that delay exceeds the CPU estimate.
+// the device queueing delay (WallClock, svc/clock.h) and falls back to
+// the CPU when that delay makes the device path slower.
 //
 // Observability: device i publishes svc.device.<i>.grants,
 // svc.device.<i>.busy_us and svc.device.<i>.backlog_seconds
@@ -82,8 +82,6 @@ class DevicePool {
   /// Summed backlog across all devices.
   double total_backlog_seconds() const;
   double device_backlog_seconds(size_t device) const;
-  /// Copy the per-device backlog clocks into *out (resized to the pool).
-  void SnapshotBacklogs(std::vector<double>* out) const;
 
   /// Lifetime grant counts, pool-wide and per device.
   uint64_t grants() const;

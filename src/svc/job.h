@@ -235,14 +235,13 @@ struct JobRecord {
   /// controller added to its pending-work ledger at admit, credited back
   /// when the dispatcher places the job.
   double admit_pending_charge = 0.0;
-  /// SLO admission: prediction/budget stamped at the admission decision
-  /// (copied into JobOutcome at completion).
-  double admit_predicted_seconds = 0.0;
-  double admit_budget_seconds = 0.0;
 
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
+  /// Placement stamps the backend, virtual times and admission verdict
+  /// before the job runs; the rest is filled and published (under `mu`)
+  /// at completion.
   JobOutcome outcome;
 };
 

@@ -19,8 +19,7 @@ PlacementDecision DecidePartition(const PlacementInput& in) {
   d.est_cpu_seconds =
       in.cpu_cost_scale *
       CpuCostModel::PartitionSeconds(in.n_tuples, in.cpu_threads, in.hash);
-  d.fpga_latency_seconds =
-      EffectiveFpgaBacklogSeconds(in) + d.est_fpga_seconds;
+  d.fpga_latency_seconds = in.fpga_backlog_seconds + d.est_fpga_seconds;
   d.cpu_latency_seconds = in.cpu_backlog_seconds + d.est_cpu_seconds;
   return d;
 }
@@ -48,23 +47,12 @@ PlacementDecision DecideJoin(const PlacementInput& in) {
                                 in.cpu_threads, in.hash);
   // The hybrid join is gated on the device from the start (partitioning is
   // its first phase), so the whole path waits out the device backlog.
-  d.fpga_latency_seconds = EffectiveFpgaBacklogSeconds(in) + d.est_fpga_seconds;
+  d.fpga_latency_seconds = in.fpga_backlog_seconds + d.est_fpga_seconds;
   d.cpu_latency_seconds = in.cpu_backlog_seconds + d.est_cpu_seconds;
   return d;
 }
 
 }  // namespace
-
-double EffectiveFpgaBacklogSeconds(const PlacementInput& in) {
-  if (in.device_backlogs == nullptr || in.fpga_devices == 0) {
-    return in.fpga_backlog_seconds;
-  }
-  double min = in.device_backlogs[0];
-  for (size_t i = 1; i < in.fpga_devices; ++i) {
-    if (in.device_backlogs[i] < min) min = in.device_backlogs[i];
-  }
-  return min;
-}
 
 PlacementDecision DecidePlacement(const PlacementInput& in) {
   // Empty jobs never earn a device lease (see placement.h).
@@ -72,7 +60,7 @@ PlacementDecision DecidePlacement(const PlacementInput& in) {
     PlacementDecision d;
     d.backend = Backend::kCpu;
     d.cpu_latency_seconds = in.cpu_backlog_seconds;
-    d.fpga_latency_seconds = EffectiveFpgaBacklogSeconds(in);
+    d.fpga_latency_seconds = in.fpga_backlog_seconds;
     return d;
   }
   PlacementDecision d = in.kind == JobKind::kPartition ? DecidePartition(in)

@@ -43,17 +43,12 @@ struct PlacementInput {
   /// Threads a CPU placement would get.
   size_t cpu_threads = 1;
 
-  /// Queueing state: model seconds of placed-but-unfinished work per
-  /// backend (live mode: device-pool/scheduler backlog; deterministic
-  /// mode: virtual clocks minus the job's virtual arrival time).
-  ///
-  /// Multi-FPGA pools hand the per-device backlog clocks in through
-  /// `device_backlogs`/`fpga_devices`; the policy queues the job on the
-  /// least-backlogged device, so the effective FPGA queueing delay is the
-  /// pool minimum. When `device_backlogs` is null the scalar
-  /// `fpga_backlog_seconds` is used (single-device compatibility form).
-  const double* device_backlogs = nullptr;
-  size_t fpga_devices = 1;
+  /// Queueing state: the model seconds a job arriving now waits on each
+  /// backend (svc/clock.h — live mode: the CPU backlog and device-pool
+  /// ledgers; deterministic mode: the virtual free clocks minus the job's
+  /// virtual arrival time). A device job queues on the least-backlogged
+  /// device of a multi-FPGA pool, so `fpga_backlog_seconds` is that
+  /// device's delay, the pool minimum.
   double fpga_backlog_seconds = 0.0;
   double cpu_backlog_seconds = 0.0;
 
@@ -68,10 +63,6 @@ struct PlacementInput {
   double cpu_cost_scale = 1.0;
   double device_cost_scale = 1.0;
 };
-
-/// The FPGA queueing delay DecidePlacement charges: min over the
-/// per-device backlog clocks, or the scalar fallback.
-double EffectiveFpgaBacklogSeconds(const PlacementInput& in);
 
 /// The policy's verdict plus the estimates that produced it (the scheduler
 /// records them for backlog accounting and observability).

@@ -35,9 +35,7 @@ struct SvcMetrics {
   obs::Counter* failed;
   obs::Counter* cancelled;
   obs::Counter* shed;
-  obs::Counter* placed_cpu;
-  obs::Counter* placed_fpga;
-  obs::Counter* placed_hybrid;
+  obs::Counter* placed[kNumBackends];  // indexed by Backend
   obs::Counter* placed_ties;
   obs::Counter* cpu_busy_us;
   obs::Counter* fpga_busy_us;
@@ -68,12 +66,12 @@ SvcMetrics& Metrics() {
                                  "jobs cancelled before or during execution");
     x.shed = reg.GetCounter("svc.jobs.shed", "jobs",
                             "jobs rejected at admission (queue full)");
-    x.placed_cpu = reg.GetCounter("svc.placed.cpu", "jobs",
-                                  "jobs placed on the CPU backend");
-    x.placed_fpga = reg.GetCounter("svc.placed.fpga", "jobs",
-                                   "jobs placed on the FPGA backend");
-    x.placed_hybrid = reg.GetCounter("svc.placed.hybrid", "jobs",
-                                     "join jobs placed on the hybrid path");
+    x.placed[0] = reg.GetCounter("svc.placed.cpu", "jobs",
+                                 "jobs placed on the CPU backend");
+    x.placed[1] = reg.GetCounter("svc.placed.fpga", "jobs",
+                                 "jobs placed on the FPGA backend");
+    x.placed[2] = reg.GetCounter("svc.placed.hybrid", "jobs",
+                                 "join jobs placed on the hybrid path");
     x.placed_ties = reg.GetCounter(
         "svc.placed.ties", "jobs",
         "placements decided by the FPGA-preferred tie rule");
@@ -117,6 +115,16 @@ SvcMetrics& Metrics() {
 uint64_t ToMicros(double seconds) {
   if (seconds <= 0.0) return 0;
   return static_cast<uint64_t>(seconds * 1e6);
+}
+
+/// A partition job's result fingerprint: the checksum of its
+/// per-partition tuple counts (backend-independent).
+uint64_t CountChecksum(const PartitionedOutput<Tuple8>& output) {
+  std::vector<uint64_t> counts(output.num_partitions());
+  for (size_t p = 0; p < counts.size(); ++p) {
+    counts[p] = output.part(p).num_tuples;
+  }
+  return HistogramChecksum(counts.data(), counts.size());
 }
 
 }  // namespace
@@ -196,7 +204,6 @@ Scheduler::Scheduler(SchedulerConfig config)
       queue_(config_.queue_capacity, config_.deterministic,
              config_.class_weights),
       pool_(config_.fpga_devices),
-      epoch_(std::chrono::steady_clock::now()),
       paused_(config_.start_paused) {
   if (config_.num_workers == 0) config_.num_workers = 1;
   if (config_.cpu_threads_per_job == 0) config_.cpu_threads_per_job = 1;
@@ -207,11 +214,16 @@ Scheduler::Scheduler(SchedulerConfig config)
   if (config_.max_workers < config_.num_workers || config_.deterministic) {
     config_.max_workers = config_.num_workers;
   }
-  admission_ = std::make_unique<AdmissionController>(
-      config_.slo, config_.num_workers, pool_.num_devices());
+  admission_ = std::make_unique<AdmissionController>(config_.slo);
   active_workers_.store(config_.num_workers, std::memory_order_release);
-  virt_device_free_.assign(pool_.num_devices(), 0.0);
-  virt_worker_free_.assign(config_.num_workers, 0.0);
+  if (config_.deterministic) {
+    clock_ = std::make_unique<VirtualClock>(config_.num_workers,
+                                            pool_.num_devices());
+  } else {
+    clock_ = std::make_unique<WallClock>(&pool_, &active_workers_,
+                                         Metrics().cpu_backlog,
+                                         Metrics().fpga_backlog);
+  }
   if (config_.cpu_threads_per_job > 1) {
     worker_pools_.resize(config_.max_workers);
     for (size_t w = 0; w < config_.max_workers; ++w) {
@@ -230,7 +242,7 @@ Scheduler::Scheduler(SchedulerConfig config)
 }
 
 bool Scheduler::SetActiveWorkers(size_t n) {
-  if (config_.deterministic) return false;
+  if (clock_->exact()) return false;
   n = std::min(std::max<size_t>(1, n), config_.max_workers);
   active_workers_.store(n, std::memory_order_release);
   // Wake everyone: a freshly activated worker is parked on the same cv as
@@ -247,26 +259,6 @@ AdmissionController::Pressure Scheduler::slo_pressure() {
 }
 
 Scheduler::~Scheduler() { Shutdown(); }
-
-double Scheduler::virtual_makespan_seconds() const {
-  // virt_*_free_ are dispatcher-only; callers read them after Shutdown()
-  // joined the dispatcher, which orders these loads after its last write.
-  double makespan = 0.0;
-  for (double t : virt_device_free_) makespan = std::max(makespan, t);
-  for (double t : virt_worker_free_) makespan = std::max(makespan, t);
-  return makespan;
-}
-
-double Scheduler::NowSeconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
-double Scheduler::cpu_backlog_seconds() const {
-  std::unique_lock<std::mutex> lock(ready_mu_);
-  return cpu_backlog_seconds_;
-}
 
 Result<JobHandle> Scheduler::Submit(const PartitionJobSpec& spec,
                                     const JobOptions& opts) {
@@ -301,7 +293,6 @@ Result<JobHandle> Scheduler::Submit(const RebalanceJobSpec& spec,
   rec->kind = JobKind::kRebalance;
   rec->rebalance = spec;
   rec->opts = opts;
-  if (rec->opts.pinned.has_value()) rec->opts.pinned = Backend::kCpu;
   return SubmitRecord(std::move(rec));
 }
 
@@ -327,25 +318,15 @@ Result<JobHandle> Scheduler::SubmitRecord(std::shared_ptr<JobRecord> rec) {
       break;
   }
   rec->wfq_cost = std::max(1.0, static_cast<double>(demand_tuples));
-  rec->submit_seconds = NowSeconds();
+  rec->submit_seconds = clock_->Now();
   if (rec->opts.deadline_seconds > 0.0) {
     rec->deadline_key = rec->submit_seconds + rec->opts.deadline_seconds;
   }
-  if (config_.slo.enabled && !config_.deterministic) {
+  if (config_.slo.enabled && !clock_->exact()) {
     // Live-mode SLO admission runs here, synchronously, so a rejected
-    // client learns before the job ever occupies the queue. Deterministic
-    // mode judges dispatcher-side (PlaceJob) instead, where the virtual
-    // clocks make the prediction exact.
-    Status admit = AdmitLive(rec.get());
-    if (!admit.ok()) {
-      JobOutcome out;
-      out.backend = rec->outcome.backend;
-      out.admit_predicted_seconds = rec->admit_predicted_seconds;
-      out.admit_budget_seconds = rec->admit_budget_seconds;
-      out.status = admit;
-      CompleteJob(rec, JobState::kRejected, admit, out);
-      return admit;
-    }
+    // client learns before the job ever occupies the queue. On the exact
+    // clock PlaceJob judges at dispatch instead, against the exact start.
+    FPART_RETURN_NOT_OK(AdmitLive(rec));
   }
   JobHandle handle(rec);
   Status pushed = queue_.Push(rec);
@@ -399,43 +380,10 @@ void Scheduler::Shutdown() {
   worker_pools_.clear();
 }
 
-// Rebalance rebuilds are a memcpy-speed snapshot + one scatter pass; a
-// flat tuple rate is close enough for backlog accounting (the err_pct
-// histograms below tell us how close).
-constexpr double kRebalanceTuplesPerSecond = 250e6;
-
-void Scheduler::FillPlacementRequest(const JobRecord& rec,
-                                     PlacementInput* in) const {
-  in->kind = rec.kind;
-  in->cpu_threads = config_.cpu_threads_per_job;
-  if (rec.kind == JobKind::kPartition) {
-    const PartitionRequest& req = rec.partition.request;
-    in->n_tuples = rec.partition.input->size();
-    in->fanout = req.fanout;
-    in->mode = req.output_mode;
-    in->layout = req.layout;
-    in->link = req.link;
-    in->hash = req.hash;
-    in->interference = req.interference;
-  } else {
-    in->r_tuples = rec.join.r->size();
-    in->s_tuples = rec.join.s->size();
-    in->fanout = rec.join.fanout;
-    in->hash = rec.join.hash;
-    in->mode = OutputMode::kHist;  // the hybrid path partitions HIST-mode
-    in->link = LinkKind::kXeonFpga;
-  }
-  // EWMA-corrected cost plumbing: scale each side's static estimate by the
-  // learned (backend, size-class) factor. 1.0 until learned — and always
-  // 1.0 in deterministic mode, so replays see the uncorrected model.
-  const size_t size_class = SizeClassOf(rec.wfq_cost);
-  in->cpu_cost_scale = admission_->correction(Backend::kCpu, size_class);
-  in->device_cost_scale = admission_->correction(
-      rec.kind == JobKind::kPartition ? Backend::kFpga : Backend::kHybrid,
-      size_class);
-}
-
 std::optional<Backend> Scheduler::ForcedBackend(const JobRecord& rec) const {
+  // Rebalance jobs always run on the host CPU: the rebuild manipulates
+  // host-resident buckets and there is no device kernel for it.
+  if (rec.kind == JobKind::kRebalance) return Backend::kCpu;
   const Backend device_backend =
       rec.kind == JobKind::kPartition ? Backend::kFpga : Backend::kHybrid;
   if (rec.opts.pinned.has_value()) {
@@ -456,226 +404,116 @@ std::optional<Backend> Scheduler::ForcedBackend(const JobRecord& rec) const {
   return std::nullopt;
 }
 
-Status Scheduler::AdmitLive(JobRecord* rec) {
-  // Predict the job's end-to-end latency with the same arithmetic the
-  // dispatcher will use: corrected service estimate on the backend
-  // placement would pick right now, plus the backlog ahead of it. The
-  // pending ledger stands in for admitted-but-undispatched work that the
-  // backlog clocks have not been charged with yet.
-  const double pending = admission_->pending_seconds();
-  const size_t workers = std::max<size_t>(1, active_workers());
-  const double cpu_wait =
-      (cpu_backlog_seconds() + pending) / static_cast<double>(workers);
-
-  Backend backend = Backend::kCpu;
-  double est = 0.0;
-  double predicted = 0.0;
-  if (rec->kind == JobKind::kRebalance) {
-    const double model = static_cast<double>(rec->rebalance.cost_tuples) /
-                         kRebalanceTuplesPerSecond;
-    est = admission_->Correct(Backend::kCpu, rec->wfq_cost, model);
-    predicted = cpu_wait + est;
+Scheduler::Estimate Scheduler::EstimateJob(const JobRecord& rec,
+                                           const Clock::Waits& waits) const {
+  PlacementInput in;
+  in.kind = rec.kind;
+  in.cpu_threads = config_.cpu_threads_per_job;
+  in.cpu_backlog_seconds = waits.cpu;
+  in.fpga_backlog_seconds = waits.fpga;
+  // EWMA-corrected cost plumbing: scale each side's static estimate by the
+  // learned (backend, size-class) factor. 1.0 until learned — and always
+  // 1.0 on the exact clock, so replays see the uncorrected model.
+  const size_t size_class = SizeClassOf(rec.wfq_cost);
+  in.cpu_cost_scale = admission_->correction(Backend::kCpu, size_class);
+  in.device_cost_scale = admission_->correction(
+      rec.kind == JobKind::kPartition ? Backend::kFpga : Backend::kHybrid,
+      size_class);
+  PlacementDecision d;
+  if (rec.kind == JobKind::kPartition) {
+    const PartitionRequest& req = rec.partition.request;
+    in.n_tuples = rec.partition.input->size();
+    in.fanout = req.fanout;
+    in.mode = req.output_mode;
+    in.layout = req.layout;
+    in.link = req.link;
+    in.hash = req.hash;
+    in.interference = req.interference;
+    d = DecidePlacement(in);
+  } else if (rec.kind == JobKind::kJoin) {
+    in.r_tuples = rec.join.r->size();
+    in.s_tuples = rec.join.s->size();
+    in.fanout = rec.join.fanout;
+    in.hash = rec.join.hash;
+    in.mode = OutputMode::kHist;  // the hybrid path partitions HIST-mode
+    in.link = LinkKind::kXeonFpga;
+    d = DecidePlacement(in);
   } else {
-    PlacementInput in;
-    FillPlacementRequest(*rec, &in);
-    in.fpga_devices = pool_.num_devices();
-    in.fpga_backlog_seconds = pool_.backlog_seconds();
-    in.cpu_backlog_seconds = cpu_wait;
-    const PlacementDecision d = DecidePlacement(in);
-    backend = d.backend;
-    if (auto forced = ForcedBackend(*rec)) backend = *forced;
-    if (backend == Backend::kCpu) {
-      est = d.est_cpu_seconds;
-      predicted = cpu_wait + est;
-    } else {
-      est = d.est_fpga_seconds;
-      predicted = in.fpga_backlog_seconds + est;
-    }
+    // Rebalance rebuilds are a memcpy-speed snapshot + one scatter pass; a
+    // flat tuple rate is close enough for backlog accounting (the err_pct
+    // histograms tell us how close).
+    constexpr double kRebalanceTuplesPerSecond = 250e6;
+    d.est_cpu_seconds = in.cpu_cost_scale *
+                        (static_cast<double>(rec.rebalance.cost_tuples) /
+                         kRebalanceTuplesPerSecond);
   }
-  rec->outcome.backend = backend;
+  Estimate e;
+  e.backend = ForcedBackend(rec).value_or(d.backend);
+  e.tie = d.tie;
+  const bool cpu = e.backend == Backend::kCpu;
+  e.service = cpu ? d.est_cpu_seconds : d.est_fpga_seconds;
+  e.device_seconds = cpu ? 0.0 : d.device_seconds;
+  e.placed = cpu ? e.service : e.device_seconds;
+  // The ledger is charged the corrected estimate (the cost scales already
+  // folded it in); keep the raw static-model value alongside so the EWMA
+  // learns actual/model, not its own output.
+  const double scale = cpu ? in.cpu_cost_scale : in.device_cost_scale;
+  e.model = scale > 0.0 ? e.placed / scale : e.placed;
+  return e;
+}
 
-  const AdmissionController::Verdict verdict =
-      admission_->Judge(rec->cls, rec->opts.deadline_seconds, predicted);
-  rec->admit_predicted_seconds = verdict.predicted_seconds;
-  rec->admit_budget_seconds =
+Status Scheduler::Admit(const std::shared_ptr<JobRecord>& rec,
+                        Backend backend, double predicted_seconds) {
+  const AdmissionController::Verdict verdict = admission_->Judge(
+      rec->cls, rec->opts.deadline_seconds, predicted_seconds);
+  rec->outcome.admit_predicted_seconds = verdict.predicted_seconds;
+  rec->outcome.admit_budget_seconds =
       std::isfinite(verdict.budget_seconds) ? verdict.budget_seconds : 0.0;
-  if (!verdict.admit) return verdict.status;
-  rec->admit_pending_charge = est;
-  admission_->AddPending(est);
+  if (verdict.admit) return Status::OK();
+  rec->outcome.backend = backend;
+  CompleteJob(rec, JobState::kRejected, verdict.status, rec->outcome);
+  return verdict.status;
+}
+
+Status Scheduler::AdmitLive(const std::shared_ptr<JobRecord>& rec) {
+  // Predict the job's end-to-end latency with the estimate step the
+  // dispatcher will use, plus the wait ahead of it right now. The pending
+  // ledger stands in for admitted-but-undispatched work that the clock
+  // has not been charged with yet.
+  Clock::Waits waits = clock_->WaitsAt(clock_->Arrival(*rec));
+  waits.cpu += admission_->pending_seconds() /
+               static_cast<double>(std::max<size_t>(1, active_workers()));
+  const Estimate e = EstimateJob(*rec, waits);
+  const double wait = e.backend == Backend::kCpu ? waits.cpu : waits.fpga;
+  FPART_RETURN_NOT_OK(Admit(rec, e.backend, wait + e.service));
+  rec->admit_pending_charge = e.service;
+  admission_->AddPending(e.service);
   return Status::OK();
 }
 
-bool Scheduler::PlaceJob(const std::shared_ptr<JobRecord>& recp) {
-  JobRecord* rec = recp.get();
+bool Scheduler::PlaceJob(const std::shared_ptr<JobRecord>& rec) {
   // The job is leaving the queue: its admission charge graduates into the
-  // real backlog clocks charged below.
+  // clock charged below.
   admission_->SubPending(rec->admit_pending_charge);
-  const double t_arrival = config_.deterministic
-                               ? rec->opts.virtual_arrival_seconds
-                               : rec->submit_seconds;
+  const double t = clock_->Arrival(*rec);
+  const Estimate e = EstimateJob(*rec, clock_->WaitsAt(t));
+  rec->outcome.backend = e.backend;
+  rec->placed_estimate_seconds = e.placed;
+  rec->model_estimate_seconds = e.model;
 
-  if (rec->kind == JobKind::kRebalance) {
-    // Always the host CPU: the rebuild manipulates host-resident buckets;
-    // there is no device kernel for it. Policy and pins are ignored, but
-    // the backlog/virtual-clock charging below matches the CPU path.
-    const double model = static_cast<double>(rec->rebalance.cost_tuples) /
-                         kRebalanceTuplesPerSecond;
-    const double est =
-        admission_->Correct(Backend::kCpu, rec->wfq_cost, model);
-    rec->outcome.backend = Backend::kCpu;
-    rec->model_estimate_seconds = model;
-    rec->placed_estimate_seconds = est;
-    if (config_.deterministic) {
-      const size_t w = static_cast<size_t>(
-          std::min_element(virt_worker_free_.begin(),
-                           virt_worker_free_.end()) -
-          virt_worker_free_.begin());
-      const double start = std::max(t_arrival, virt_worker_free_[w]);
-      if (config_.slo.enabled) {
-        const AdmissionController::Verdict verdict = admission_->Judge(
-            rec->cls, rec->opts.deadline_seconds, (start - t_arrival) + est);
-        rec->admit_predicted_seconds = verdict.predicted_seconds;
-        rec->admit_budget_seconds = std::isfinite(verdict.budget_seconds)
-                                        ? verdict.budget_seconds
-                                        : 0.0;
-        if (!verdict.admit) {
-          JobOutcome out;
-          out.backend = Backend::kCpu;
-          out.admit_predicted_seconds = rec->admit_predicted_seconds;
-          out.admit_budget_seconds = rec->admit_budget_seconds;
-          CompleteJob(recp, JobState::kRejected, verdict.status, out);
-          return false;
-        }
-      }
-      virt_worker_free_[w] = start + est;
-      rec->outcome.virtual_queue_seconds = start - t_arrival;
-      rec->outcome.virtual_run_seconds = est;
-    } else {
-      std::unique_lock<std::mutex> lock(ready_mu_);
-      cpu_backlog_seconds_ += est;
-      Metrics().cpu_backlog->Set(cpu_backlog_seconds_);
-    }
-    Metrics().placed_cpu->Add();
-    return true;
+  if (config_.slo.enabled && clock_->exact()) {
+    // Judged against the exact start the charge below commits: predicted
+    // == virtual_queue + virtual_run, so an admitted job never misses its
+    // budget (the svc_admission tests' invariant). A rejected job advances
+    // no clock: the rest of the replay is what a run without it computes.
+    const double start = clock_->Start(e.backend, t);
+    if (!Admit(rec, e.backend, (start - t) + e.service).ok()) return false;
   }
-
-  PlacementInput in;
-  FillPlacementRequest(*rec, &in);
-  size_t virt_worker = 0;
-  size_t virt_device = 0;
-  if (config_.deterministic) {
-    virt_worker = static_cast<size_t>(
-        std::min_element(virt_worker_free_.begin(), virt_worker_free_.end()) -
-        virt_worker_free_.begin());
-    // A device job queues on the least-loaded virtual device clock.
-    virt_device = static_cast<size_t>(
-        std::min_element(virt_device_free_.begin(), virt_device_free_.end()) -
-        virt_device_free_.begin());
-    in.fpga_devices = virt_device_free_.size();
-    in.fpga_backlog_seconds =
-        std::max(0.0, virt_device_free_[virt_device] - t_arrival);
-    in.cpu_backlog_seconds =
-        std::max(0.0, virt_worker_free_[virt_worker] - t_arrival);
-  } else {
-    pool_.SnapshotBacklogs(&backlog_scratch_);
-    in.device_backlogs = backlog_scratch_.data();
-    in.fpga_devices = backlog_scratch_.size();
-    in.fpga_backlog_seconds = pool_.backlog_seconds();
-    std::unique_lock<std::mutex> lock(ready_mu_);
-    in.cpu_backlog_seconds =
-        cpu_backlog_seconds_ /
-        static_cast<double>(std::max<size_t>(1, active_workers()));
-  }
-
-  PlacementDecision d = DecidePlacement(in);
-  const Backend device_backend =
-      rec->kind == JobKind::kPartition ? Backend::kFpga : Backend::kHybrid;
-  Backend backend = d.backend;
-  if (auto forced = ForcedBackend(*rec)) backend = *forced;
-  if (backend != Backend::kCpu) backend = device_backend;
-
-  rec->outcome.backend = backend;
-  // The estimate the backlog clocks are charged with is the corrected one
-  // (the cost scales already folded it in); keep the raw static-model
-  // value alongside so the EWMA learns actual/model, not its own output.
-  const double scale =
-      backend == Backend::kCpu ? in.cpu_cost_scale : in.device_cost_scale;
-  rec->placed_estimate_seconds =
-      backend == Backend::kCpu ? d.est_cpu_seconds : d.device_seconds;
-  rec->model_estimate_seconds =
-      scale > 0.0 ? rec->placed_estimate_seconds / scale
-                  : rec->placed_estimate_seconds;
-
-  // Charge the chosen backend's backlog (credited back at completion) and,
-  // in deterministic mode, advance the virtual clocks. The virtual start
-  // and service time are stamped on the outcome: they are the replay's
-  // noise-free latency decomposition (JobOutcome::virtual_*_seconds).
-  if (config_.deterministic) {
-    // The exact virtual start the charge below would commit — which makes
-    // the admission prediction exact: predicted == virtual_queue +
-    // virtual_run, so an admitted job can never miss a budget its
-    // prediction fit (the zero-admitted-then-missed invariant the
-    // svc_admission tests assert).
-    double start;
-    double service;
-    if (backend == Backend::kCpu) {
-      start = std::max(t_arrival, virt_worker_free_[virt_worker]);
-      service = d.est_cpu_seconds;
-    } else {
-      // Device jobs hold a worker for the whole run and their device for
-      // the lease phase; the chosen device's clock gates the start.
-      start = std::max({t_arrival, virt_device_free_[virt_device],
-                        virt_worker_free_[virt_worker]});
-      service = d.est_fpga_seconds;
-    }
-    if (config_.slo.enabled) {
-      const AdmissionController::Verdict verdict = admission_->Judge(
-          rec->cls, rec->opts.deadline_seconds, (start - t_arrival) + service);
-      rec->admit_predicted_seconds = verdict.predicted_seconds;
-      rec->admit_budget_seconds = std::isfinite(verdict.budget_seconds)
-                                      ? verdict.budget_seconds
-                                      : 0.0;
-      if (!verdict.admit) {
-        // Rejected: no clock was advanced, so the rest of the replay is
-        // exactly what a run without this job would compute.
-        JobOutcome out;
-        out.backend = backend;
-        out.admit_predicted_seconds = rec->admit_predicted_seconds;
-        out.admit_budget_seconds = rec->admit_budget_seconds;
-        CompleteJob(recp, JobState::kRejected, verdict.status, out);
-        return false;
-      }
-    }
-    if (backend == Backend::kCpu) {
-      virt_worker_free_[virt_worker] = start + service;
-    } else {
-      virt_device_free_[virt_device] = start + d.device_seconds;
-      virt_worker_free_[virt_worker] = start + service;
-    }
-    rec->outcome.virtual_queue_seconds = start - t_arrival;
-    rec->outcome.virtual_run_seconds = service;
-  } else if (backend == Backend::kCpu) {
-    std::unique_lock<std::mutex> lock(ready_mu_);
-    cpu_backlog_seconds_ += d.est_cpu_seconds;
-    Metrics().cpu_backlog->Set(cpu_backlog_seconds_);
-  } else {
-    rec->charged_device = pool_.ChargeLeastLoaded(d.device_seconds);
-    Metrics().fpga_backlog->Set(pool_.backlog_seconds());
-  }
+  clock_->Charge(rec.get(), e.backend, t, e.service, e.device_seconds);
 
   auto& m = Metrics();
-  switch (backend) {
-    case Backend::kCpu:
-      m.placed_cpu->Add();
-      break;
-    case Backend::kFpga:
-      m.placed_fpga->Add();
-      break;
-    case Backend::kHybrid:
-      m.placed_hybrid->Add();
-      break;
-  }
-  if (d.tie && !rec->opts.pinned.has_value() &&
+  m.placed[static_cast<size_t>(e.backend)]->Add();
+  if (e.tie && !rec->opts.pinned.has_value() &&
       config_.policy == PlacementPolicy::kAdaptive) {
     m.placed_ties->Add();
   }
@@ -754,7 +592,7 @@ void Scheduler::WorkerLoop(size_t index) {
 void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
                            size_t worker) {
   auto& m = Metrics();
-  const double start_seconds = NowSeconds();
+  const double start_seconds = clock_->Now();
   const double queue_seconds = start_seconds - rec->submit_seconds;
   m.queue_us->Record(ToMicros(queue_seconds));
   obs::Tracer& tracer = obs::Tracer::Global();
@@ -768,13 +606,11 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
                          obs::kHostTracePid, obs::CurrentTraceTid());
   }
 
-  JobOutcome out;
-  out.backend = rec->outcome.backend;
+  // Placement stamped the backend, virtual times and admission verdict.
+  JobOutcome out = rec->outcome;
   out.queue_seconds = queue_seconds;
-  out.virtual_queue_seconds = rec->outcome.virtual_queue_seconds;
-  out.virtual_run_seconds = rec->outcome.virtual_run_seconds;
-  out.admit_predicted_seconds = rec->admit_predicted_seconds;
-  out.admit_budget_seconds = rec->admit_budget_seconds;
+  ThreadPool* pool =
+      worker_pools_.empty() ? nullptr : worker_pools_[worker].get();
 
   Status status;
   if (rec->cancel.load(std::memory_order_relaxed)) {
@@ -784,42 +620,31 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
     obs::TraceSpan span("svc.run", "svc");
     switch (rec->kind) {
       case JobKind::kPartition:
-        status = RunPartitionJob(rec.get(), worker, &out);
+        status = RunPartitionJob(rec.get(), pool, &out);
         break;
       case JobKind::kJoin:
-        status = RunJoinJob(rec.get(), worker, &out);
+        status = RunJoinJob(rec.get(), pool, &out);
         break;
       case JobKind::kRebalance:
-        status = RunRebalanceJob(rec.get(), &out);
+        status = RunCpuBusy([&] { return rec->rebalance.work(&rec->cancel); });
         break;
     }
   }
-  out.run_seconds = NowSeconds() - start_seconds;
+  out.run_seconds = clock_->Now() - start_seconds;
   m.run_us->Record(ToMicros(out.run_seconds));
   m.total_us->Record(ToMicros(out.queue_seconds + out.run_seconds));
+  // Feedback for the placement model: the svc.place.err_pct histograms
+  // (error of the charged estimate) and, off the exact clock, the EWMA
+  // correction and the pressure signal.
+  const bool live = !clock_->exact();
   if (status.ok()) {
-    // Feedback for the placement model: the svc.place.err_pct histograms
-    // (error of the charged estimate) and, in live mode, the EWMA
-    // correction the next admission decisions use.
     admission_->ObserveRun(out.backend, rec->wfq_cost,
                            rec->model_estimate_seconds,
                            rec->placed_estimate_seconds, out.run_seconds,
-                           /*learn=*/!config_.deterministic);
+                           live);
   }
-
-  // Credit the backlog charged at placement.
-  if (!config_.deterministic) {
-    if (out.backend == Backend::kCpu) {
-      std::unique_lock<std::mutex> lock(ready_mu_);
-      cpu_backlog_seconds_ =
-          std::max(0.0, cpu_backlog_seconds_ - rec->placed_estimate_seconds);
-      Metrics().cpu_backlog->Set(cpu_backlog_seconds_);
-    } else {
-      pool_.Credit(rec->charged_device, rec->placed_estimate_seconds);
-      Metrics().fpga_backlog->Set(pool_.backlog_seconds());
-    }
-    if (config_.slo.enabled) slo_pressure();
-  }
+  clock_->Credit(*rec);
+  if (live && config_.slo.enabled) slo_pressure();
 
   JobState state = JobState::kCompleted;
   if (status.IsCancelled()) {
@@ -830,100 +655,85 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
   CompleteJob(rec, state, std::move(status), out);
 }
 
-Status Scheduler::RunPartitionJob(JobRecord* rec, size_t worker,
-                                  JobOutcome* out) {
-  PartitionRequest req = rec->partition.request;
-  req.cancel = &rec->cancel;
+template <typename Fn>
+auto Scheduler::RunCpuBusy(Fn&& fn) -> decltype(fn()) {
+  cpu_busy_.fetch_add(1, std::memory_order_relaxed);
+  const double t0 = clock_->Now();
+  auto result = fn();
+  Metrics().cpu_busy_us->Add(ToMicros(clock_->Now() - t0));
+  cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
+  return result;
+}
+
+template <typename Fn>
+auto Scheduler::RunLeased(JobRecord* rec, Fn&& device_phase)
+    -> decltype(device_phase()) {
   auto& m = Metrics();
-
-  if (out->backend == Backend::kCpu) {
-    req.engine = Engine::kCpu;
-    req.num_threads = config_.cpu_threads_per_job;
-    req.pool = worker_pools_.empty() ? nullptr : worker_pools_[worker].get();
-    cpu_busy_.fetch_add(1, std::memory_order_relaxed);
-    const double t0 = NowSeconds();
-    auto result = RunPartition<Tuple8>(req, *rec->partition.input);
-    m.cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
-    cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
-    FPART_RETURN_NOT_OK(result.status());
-    const auto& report = result.ValueOrDie();
-    out->device_seconds = 0.0;
-    std::vector<uint64_t> counts(report.output.num_partitions());
-    for (size_t p = 0; p < counts.size(); ++p) {
-      counts[p] = report.output.part(p).num_tuples;
-    }
-    out->checksum = HistogramChecksum(counts.data(), counts.size());
-    return Status::OK();
-  }
-
-  // FPGA placement: one exclusive device lease from the pool first.
-  const double wait0 = NowSeconds();
+  const double wait0 = clock_->Now();
   FPART_RETURN_NOT_OK(pool_.Acquire(rec));
   if (Failpoint("svc.device.run")) {
     pool_.Release(rec);
     return Status::Internal("failpoint: forced device-run failure");
   }
   const int device = rec->device;
-  const double lease0 = NowSeconds();
+  const double lease0 = clock_->Now();
   m.lease_wait_us->Record(ToMicros(lease0 - wait0));
-
-  req.engine = Engine::kFpgaSim;
-  if (config_.adaptive_interference && !config_.deterministic &&
-      cpu_busy_.load(std::memory_order_relaxed) > 0) {
-    req.interference = Interference::kInterfered;
-  }
-  auto result = RunPartition<Tuple8>(req, *rec->partition.input);
+  auto result = device_phase();
   // Stamp before Release: once the lease is handed on, this thread may be
   // descheduled for a while and a late stamp would overlap the next
   // holder's window (busy_us must never exceed wall time per device).
-  const double lease_end = NowSeconds();
+  const double lease_end = clock_->Now();
   pool_.Release(rec);
   const double lease_seconds = lease_end - lease0;
   m.fpga_busy_us->Add(ToMicros(lease_seconds));
   pool_.RecordBusy(device, lease_seconds);
+  return result;
+}
+
+Interference Scheduler::DeviceInterference(Interference requested) const {
+  // Live mode marks device runs link-interfered while host workers are
+  // busy (Figure 2's "interfered" curves); the exact clock keeps the
+  // request's own setting.
+  if (!clock_->exact() && cpu_busy_.load(std::memory_order_relaxed) > 0) {
+    return Interference::kInterfered;
+  }
+  return requested;
+}
+
+Status Scheduler::RunPartitionJob(JobRecord* rec, ThreadPool* pool,
+                                  JobOutcome* out) {
+  const bool on_cpu = out->backend == Backend::kCpu;
+  PartitionRequest req = rec->partition.request;
+  req.engine = on_cpu ? Engine::kCpu : Engine::kFpgaSim;
+  req.num_threads = config_.cpu_threads_per_job;  // CPU engine only
+  req.pool = pool;
+  req.cancel = &rec->cancel;
+  auto run = [&] { return RunPartition<Tuple8>(req, *rec->partition.input); };
+  auto result = on_cpu ? RunCpuBusy(run) : RunLeased(rec, [&] {
+    req.interference = DeviceInterference(req.interference);
+    return run();
+  });
   FPART_RETURN_NOT_OK(result.status());
   const auto& report = result.ValueOrDie();
-  out->device_seconds = report.seconds;
-  std::vector<uint64_t> counts(report.output.num_partitions());
-  for (size_t p = 0; p < counts.size(); ++p) {
-    counts[p] = report.output.part(p).num_tuples;
-  }
-  out->checksum = HistogramChecksum(counts.data(), counts.size());
+  out->device_seconds = on_cpu ? 0.0 : report.seconds;
+  out->checksum = CountChecksum(report.output);
   return Status::OK();
 }
 
-Status Scheduler::RunRebalanceJob(JobRecord* rec, JobOutcome* out) {
-  auto& m = Metrics();
-  cpu_busy_.fetch_add(1, std::memory_order_relaxed);
-  const double t0 = NowSeconds();
-  Status status = rec->rebalance.work(&rec->cancel);
-  m.cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
-  cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
-  out->device_seconds = 0.0;
-  return status;
-}
-
-Status Scheduler::RunJoinJob(JobRecord* rec, size_t worker, JobOutcome* out) {
-  auto& m = Metrics();
-  ThreadPool* pool =
-      worker_pools_.empty() ? nullptr : worker_pools_[worker].get();
-
+Status Scheduler::RunJoinJob(JobRecord* rec, ThreadPool* pool,
+                             JobOutcome* out) {
   if (out->backend == Backend::kCpu) {
     CpuJoinConfig config;
     config.fanout = rec->join.fanout;
     config.hash = rec->join.hash;
     config.num_threads = config_.cpu_threads_per_job;
     config.pool = pool;
-    cpu_busy_.fetch_add(1, std::memory_order_relaxed);
-    const double t0 = NowSeconds();
-    auto result = CpuRadixJoin(config, *rec->join.r, *rec->join.s);
-    m.cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
-    cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
+    auto result = RunCpuBusy(
+        [&] { return CpuRadixJoin(config, *rec->join.r, *rec->join.s); });
     FPART_RETURN_NOT_OK(result.status());
     const JoinResult& jr = result.ValueOrDie();
     out->matches = jr.matches;
     out->checksum = jr.checksum;
-    out->device_seconds = 0.0;
     return Status::OK();
   }
 
@@ -938,39 +748,13 @@ Status Scheduler::RunJoinJob(JobRecord* rec, size_t worker, JobOutcome* out) {
   fpga.sim_mode = config_.sim_mode;
   fpga.sim_cache = config_.sim_cache;
   fpga.cancel = &rec->cancel;
-  if (config_.adaptive_interference && !config_.deterministic &&
-      cpu_busy_.load(std::memory_order_relaxed) > 0) {
-    fpga.interference = Interference::kInterfered;
-  }
-
-  const double wait0 = NowSeconds();
-  FPART_RETURN_NOT_OK(pool_.Acquire(rec));
-  if (Failpoint("svc.device.run")) {
-    pool_.Release(rec);
-    return Status::Internal("failpoint: forced device-run failure");
-  }
-  const int device_index = rec->device;
-  const double lease0 = NowSeconds();
-  m.lease_wait_us->Record(ToMicros(lease0 - wait0));
-
-  auto run_device = [&]() -> Result<std::pair<FpgaRunResult<Tuple8>,
-                                              FpgaRunResult<Tuple8>>> {
-    FPART_ASSIGN_OR_RETURN(
-        FpgaRunResult<Tuple8> pr,
-        internal::HybridPartition(fpga, *rec->join.r));
-    FPART_ASSIGN_OR_RETURN(
-        FpgaRunResult<Tuple8> ps,
-        internal::HybridPartition(fpga, *rec->join.s));
-    return std::make_pair(std::move(pr), std::move(ps));
-  };
-  auto device = run_device();
-  const double lease_end = NowSeconds();  // before Release; see partition path
-  pool_.Release(rec);
-  const double lease_seconds = lease_end - lease0;
-  m.fpga_busy_us->Add(ToMicros(lease_seconds));
-  pool_.RecordBusy(device_index, lease_seconds);
-  FPART_RETURN_NOT_OK(device.status());
-  auto& [pr, ps] = device.ValueOrDie();
+  FpgaRunResult<Tuple8> pr, ps;
+  FPART_RETURN_NOT_OK(RunLeased(rec, [&]() -> Status {
+    fpga.interference = DeviceInterference(fpga.interference);
+    FPART_ASSIGN_OR_RETURN(pr, internal::HybridPartition(fpga, *rec->join.r));
+    FPART_ASSIGN_OR_RETURN(ps, internal::HybridPartition(fpga, *rec->join.s));
+    return Status::OK();
+  }));
   out->device_seconds = pr.seconds + ps.seconds;
 
   if (rec->cancel.load(std::memory_order_relaxed)) {
@@ -978,14 +762,12 @@ Status Scheduler::RunJoinJob(JobRecord* rec, size_t worker, JobOutcome* out) {
                              " cancelled after device phase");
   }
 
-  cpu_busy_.fetch_add(1, std::memory_order_relaxed);
-  const double t0 = NowSeconds();
-  BuildProbeStats bp = ParallelBuildProbe(
-      pr.output, ps.output, config_.cpu_threads_per_job, pool,
-      static_cast<const Tuple8*>(nullptr), /*prefetch_distance=*/16);
-  m.cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
-  cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
-
+  const BuildProbeStats bp = RunCpuBusy([&] {
+    return ParallelBuildProbe(pr.output, ps.output,
+                              config_.cpu_threads_per_job, pool,
+                              static_cast<const Tuple8*>(nullptr),
+                              /*prefetch_distance=*/16);
+  });
   out->matches = bp.matches;
   out->checksum = bp.checksum;
   return Status::OK();

@@ -13,21 +13,23 @@
 // device is ever run by two jobs at once — which is exactly why CPU
 // fallback under device backlog matters.
 //
-// Two clocks:
-//  * live mode — wall time; backlog doubles are kept per device by the
-//    pool (FPGA) and by the scheduler (CPU) in model seconds, added at
-//    placement and subtracted at completion.
-//  * deterministic mode — virtual time: clients assign each job a
+// One placement path, two clocks (svc/clock.h). PlaceJob estimates every
+// job — partition, join or rebalance — the same way, reads the queueing
+// delays from the clock and charges the chosen backend to it; the clock
+// is chosen once, from SchedulerConfig::deterministic:
+//  * live mode — WallClock: backlog ledgers in model seconds (the CPU
+//    backlog and the pool's per-device clocks), charged at placement and
+//    credited at completion.
+//  * deterministic mode — VirtualClock: clients assign each job a
 //    contiguous arrival_seq and a virtual arrival timestamp; the
-//    dispatcher processes strictly in sequence order and advances
-//    per-backend virtual free clocks (list scheduling). Placement is then
-//    a pure function of the job stream — bit-identical across replays no
-//    matter how client threads interleave.
+//    dispatcher processes strictly in sequence order and the clock list-
+//    schedules the jobs on virtual worker and device free times.
+//    Placement is then a pure function of the job stream — bit-identical
+//    across replays no matter how client threads interleave.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -41,6 +43,7 @@
 #include "common/thread_pool.h"
 #include "fpga/config.h"
 #include "svc/admission.h"
+#include "svc/clock.h"
 #include "svc/fpga_arbiter.h"
 #include "svc/job.h"
 #include "svc/job_queue.h"
@@ -88,13 +91,12 @@ struct SchedulerConfig {
   /// replays dispatch in strict arrival order.
   std::array<double, kNumJobClasses> class_weights = kDefaultClassWeights;
   PlacementPolicy policy = PlacementPolicy::kAdaptive;
-  /// Deterministic replay mode (strict arrival-seq dispatch + virtual
-  /// clocks). See the file comment.
+  /// Deterministic replay mode (strict arrival-seq dispatch + the virtual
+  /// clock). See the file comment. Live mode marks FPGA runs
+  /// link-interfered while host workers are busy (Figure 2's
+  /// "interfered" curves); deterministic replays use each request's own
+  /// interference setting.
   bool deterministic = false;
-  /// Mark FPGA runs as link-interfered while host workers are busy
-  /// (Figure 2's "interfered" curves). Live mode only — deterministic
-  /// replays use each request's own interference setting.
-  bool adaptive_interference = true;
   /// Simulator backend for device runs the scheduler configures itself
   /// (the join jobs' partitioning passes). Partition jobs carry their own
   /// PartitionRequest::sim_mode.
@@ -160,8 +162,8 @@ class Scheduler {
   /// completion time — the quantity that shrinks as `fpga_devices` grows,
   /// independent of how many host cores the simulator itself gets. Only
   /// meaningful after Shutdown() has drained the stream; 0.0 in live mode.
-  double virtual_makespan_seconds() const;
-  double cpu_backlog_seconds() const;
+  double virtual_makespan_seconds() const { return clock_->makespan(); }
+  double cpu_backlog_seconds() const { return clock_->cpu_backlog_seconds(); }
   uint64_t jobs_submitted() const {
     return submitted_.load(std::memory_order_relaxed);
   }
@@ -199,37 +201,58 @@ class Scheduler {
   void DispatcherLoop();
   void WorkerLoop(size_t index);
 
-  /// The static (backlog-free) part of the placement input, including the
-  /// EWMA-corrected cost scales. Partition/join jobs only.
-  void FillPlacementRequest(const JobRecord& rec, PlacementInput* in) const;
-  /// The backend a pin or non-adaptive policy forces (nullopt: adaptive).
-  std::optional<Backend> ForcedBackend(const JobRecord& rec) const;
-  /// Live-mode admission: corrected prediction vs budget at submit time.
-  /// OK = admitted (pending ledger charged); SloError = rejected.
-  Status AdmitLive(JobRecord* rec);
+  /// A job's placement: the backend and the model seconds it holds there.
+  struct Estimate {
+    Backend backend = Backend::kCpu;
+    bool tie = false;             ///< decided by the FPGA-preferred tie rule
+    double service = 0.0;         ///< a worker's share: the whole run
+    double device_seconds = 0.0;  ///< a device's share: the lease phase
+    double placed = 0.0;  ///< corrected; what the backlog ledger is charged
+    double model = 0.0;   ///< raw static model; what the EWMA learns from
+  };
 
-  /// Decide the backend (policy + pinning), run the deterministic-mode
-  /// admission check, charge the chosen backlog and stamp the record.
-  /// Dispatcher-only. False: the job was rejected (SloError) and
-  /// completed; it must not be handed to a worker.
+  /// The backend a pin, a non-adaptive policy or the job kind forces
+  /// (nullopt: adaptive).
+  std::optional<Backend> ForcedBackend(const JobRecord& rec) const;
+  /// Decide the backend of a job that would see `waits`. Rebalance jobs
+  /// are CPU-forced with a flat-rate estimate.
+  Estimate EstimateJob(const JobRecord& rec, const Clock::Waits& waits) const;
+  /// Judge a prediction against the job's budget and stamp both on the
+  /// record. A rejected job is completed here (kRejected) and its
+  /// SloError returned.
+  Status Admit(const std::shared_ptr<JobRecord>& rec, Backend backend,
+               double predicted_seconds);
+  /// Live-mode admission at submit time: OK = admitted (pending ledger
+  /// charged); SloError = rejected and completed.
+  Status AdmitLive(const std::shared_ptr<JobRecord>& rec);
+
+  /// Estimate the job, run the dispatch-time admission check (exact clock)
+  /// and charge the clock. Dispatcher-only. False: the job was rejected
+  /// (SloError) and completed; it must not be handed to a worker.
   bool PlaceJob(const std::shared_ptr<JobRecord>& rec);
   /// Run the job on its placed backend and complete the record.
   void ExecuteJob(const std::shared_ptr<JobRecord>& rec, size_t worker);
-  Status RunPartitionJob(JobRecord* rec, size_t worker, JobOutcome* out);
-  Status RunJoinJob(JobRecord* rec, size_t worker, JobOutcome* out);
-  Status RunRebalanceJob(JobRecord* rec, JobOutcome* out);
+  Status RunPartitionJob(JobRecord* rec, ThreadPool* pool, JobOutcome* out);
+  Status RunJoinJob(JobRecord* rec, ThreadPool* pool, JobOutcome* out);
+  /// Run `fn` as CPU-busy work (svc.backend.cpu.busy_us; it also marks
+  /// concurrent live device runs interfered).
+  template <typename Fn>
+  auto RunCpuBusy(Fn&& fn) -> decltype(fn());
+  /// Run a device phase holding one exclusive device lease.
+  template <typename Fn>
+  auto RunLeased(JobRecord* rec, Fn&& device_phase)
+      -> decltype(device_phase());
+  Interference DeviceInterference(Interference requested) const;
   void CompleteJob(const std::shared_ptr<JobRecord>& rec, JobState state,
                    Status status, JobOutcome outcome);
-
-  double NowSeconds() const;
 
   SchedulerConfig config_;
   JobQueue queue_;
   DevicePool pool_;
   std::unique_ptr<AdmissionController> admission_;
-  std::chrono::steady_clock::time_point epoch_;
   /// Workers eligible for jobs; indices beyond it park on ready_cv_.
   std::atomic<size_t> active_workers_{0};
+  std::unique_ptr<Clock> clock_;
 
   std::atomic<uint64_t> next_id_{0};
   std::atomic<uint64_t> next_seq_{0};
@@ -247,19 +270,8 @@ class Scheduler {
   std::deque<std::shared_ptr<JobRecord>> ready_;
   bool dispatch_done_ = false;
 
-  // Live-mode CPU backlog (model seconds), guarded by ready_mu_.
-  double cpu_backlog_seconds_ = 0.0;
-
-  // Workers currently executing CPU-side work (adaptive interference).
+  // Workers currently executing CPU-side work (interference marking).
   std::atomic<uint32_t> cpu_busy_{0};
-
-  // Deterministic mode: virtual free clocks (one per device and per
-  // worker), dispatcher-only.
-  std::vector<double> virt_device_free_;
-  std::vector<double> virt_worker_free_;
-  // Live mode: scratch for the per-device backlog snapshot handed to
-  // DecidePlacement, dispatcher-only.
-  std::vector<double> backlog_scratch_;
 
   std::thread dispatcher_;
   std::vector<std::thread> workers_;
