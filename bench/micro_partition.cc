@@ -4,12 +4,15 @@
 // `--json [n]` switches to a CPU-partitioner throughput report instead:
 // single-threaded radix partitioning (the Figure 4 config: fanout 8192,
 // 8 B tuples) under the PR-1 scalar path and the fused SIMD+prefetch
-// path, printed as a JSON object (see scripts/bench_cpu.sh).
+// path, plus small-job rows (4K and 8K tuples at fanout 2048 and 8192,
+// murmur, the service's short-job shape) that time whole CpuPartition
+// calls, printed as a JSON object (see scripts/bench_cpu.sh).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "common/cpu_features.h"
@@ -84,6 +87,46 @@ bool RunOnce(const Relation<Tuple8>& rel, bool use_simd, PhaseTimes* out) {
   return true;
 }
 
+// Small-job rows: the fixed cost per job that dominates the service's
+// short jobs. Each row is the best of kSmallRuns whole CpuPartition calls
+// (allocation, both phases and the dummy padding, as a service job pays
+// them) on one thread with murmur hashing.
+bool SmallJobRows(obs::BenchReport* report) {
+  constexpr int kSmallRuns = 50;
+  for (size_t n : {size_t{4096}, size_t{8192}}) {
+    auto rel = GenerateRawRelation(n, KeyDistribution::kRandom, 7);
+    if (!rel.ok()) {
+      std::fprintf(stderr, "datagen failed\n");
+      return false;
+    }
+    for (uint32_t fanout : {2048u, 8192u}) {
+      CpuPartitionerConfig config;
+      config.fanout = fanout;
+      config.hash = HashMethod::kMurmur;
+      config.num_threads = 1;
+      double best = 0.0;
+      for (int r = 0; r < kSmallRuns; ++r) {
+        Timer timer;
+        auto run = CpuPartition(config, rel->data(), rel->size());
+        const double seconds = timer.Seconds();
+        if (!run.ok()) {
+          std::fprintf(stderr, "small-job run failed: %s\n",
+                       run.status().ToString().c_str());
+          return false;
+        }
+        if (r == 0 || seconds < best) best = seconds;
+      }
+      const std::string name = "small_n" + std::to_string(n) + "_f" +
+                               std::to_string(fanout);
+      report->Result(name, {{"n_tuples", static_cast<double>(n)},
+                            {"fanout", static_cast<double>(fanout)},
+                            {"us_per_run", best * 1e6},
+                            {"mtuples_per_sec", n / best / 1e6}});
+    }
+  }
+  return true;
+}
+
 int JsonMain(size_t n) {
   auto rel = GenerateRawRelation(n, KeyDistribution::kRandom, 7);
   if (!rel.ok()) {
@@ -135,6 +178,7 @@ int JsonMain(size_t n) {
   row("fused_simd", fused, fused_acc.FieldsSince(bench::HwUsage()));
   report.ResultDouble("speedup",
                       fused.total > 0 ? scalar.total / fused.total : 0.0);
+  if (!SmallJobRows(&report)) return 1;
   report.Print();
   return 0;
 }

@@ -9,7 +9,8 @@ Runs micro_sim, micro_partition, ext_join_algorithms and ext_service in
   schema == "fpart.obs.v1";
 * every metrics entry carries type + unit, counters a "value", histograms
   count/sum/min/max/mean/p50/p99;
-* the metric names each binary is documented to emit are present.
+* the metric names each binary is documented to emit are present;
+* micro_partition reports its small-job rows (small_n*_f*).
 
 Usage: python3 scripts/check_bench_schema.py [--bindir build/bench]
 """
@@ -113,6 +114,11 @@ EXT_CLUSTER_RESULT_KEYS = {
     "jobs_accounted": ["completed", "failed", "shed", "lost",
                        "epoch_violations"],
 }
+
+# Small-job rows micro_partition --json must report: whole-call time of a
+# short CPU job (the service's per-job fixed cost), best of N.
+MICRO_PARTITION_SMALL_ROWS = [
+    f"small_n{n}_f{f}" for n in (4096, 8192) for f in (2048, 8192)]
 
 # (case name, binary, args, metric names the run must publish,
 #  config keys the document must carry).
@@ -288,6 +294,19 @@ def validate(name: str, doc: dict, expected_metrics,
     if hw_cfg == "unavailable" and hw_fields > 0:
         fail(f"{name}: hw_counters=unavailable but {hw_fields} hw.* "
              f"result fields present")
+    if name == "micro_partition":
+        for rkey in MICRO_PARTITION_SMALL_ROWS:
+            row = doc["results"].get(rkey)
+            if not isinstance(row, dict):
+                fail(f"{name}: small-job row '{rkey}' missing "
+                     f"(have: {sorted(doc['results'])})")
+            for field in ("n_tuples", "fanout", "us_per_run",
+                          "mtuples_per_sec"):
+                if field not in row:
+                    fail(f"{name}: {rkey} lacks '{field}'")
+            if not row["us_per_run"] > 0:
+                fail(f"{name}: {rkey} us_per_run must be positive, got "
+                     f"{row['us_per_run']!r}")
     if name.startswith("ext_service"):
         for rkey in EXT_SERVICE_RESULT_KEYS:
             if rkey not in doc["results"]:

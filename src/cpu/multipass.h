@@ -87,8 +87,8 @@ Result<CpuRunResult<T>> MultipassPartition(const CpuPartitionerConfig& config,
   for (uint32_t g = 0; g < config.fanout; ++g) {
     capacity_cls[g] = static_cast<uint32_t>((final_hist[g] + kK - 1) / kK);
   }
-  FPART_ASSIGN_OR_RETURN(PartitionedOutput<T> output,
-                         PartitionedOutput<T>::Allocate(capacity_cls));
+  FPART_ASSIGN_OR_RETURN(PartitionedOutputBuilder<T> output,
+                         PartitionedOutputBuilder<T>::Allocate(capacity_cls));
   T* out_base = reinterpret_cast<T*>(output.line(0));
 
   auto scatter_worker = [&](size_t t) {
@@ -120,7 +120,7 @@ Result<CpuRunResult<T>> MultipassPartition(const CpuPartitionerConfig& config,
       data[i] = MakeDummyTuple<T>();
     }
   }
-  result.output = std::move(output);
+  result.output = std::move(output).Seal();
   result.histogram = std::move(final_hist);
   result.seconds = pass1.seconds + pass2_seconds;
   result.mtuples_per_sec =

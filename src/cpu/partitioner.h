@@ -149,33 +149,6 @@ struct alignas(kCacheLineSize) WriteBuffer {
   T slots[TupleTraits<T>::kTuplesPerCacheLine];
 };
 
-/// Drain a partially filled buffer (`count` < tuples-per-line) to `dst`.
-/// When the cursor is line-aligned and streaming is enabled, whole
-/// 16-byte chunks go out as non-temporal stores — only the trailing
-/// sub-chunk (if any) falls back to plain stores — so the final drain no
-/// longer pulls the destination lines into the cache.
-template <typename T>
-inline void DrainPartial(T* dst, const T* src, uint32_t count,
-                         bool non_temporal) {
-  const size_t bytes = size_t{count} * sizeof(T);
-#if defined(__SSE2__)
-  if (non_temporal &&
-      (reinterpret_cast<uintptr_t>(dst) % kCacheLineSize) == 0) {
-    const size_t chunks = bytes / 16;
-    const __m128i* s = reinterpret_cast<const __m128i*>(src);
-    __m128i* d = reinterpret_cast<__m128i*>(dst);
-    for (size_t i = 0; i < chunks; ++i) {
-      _mm_stream_si128(d + i, _mm_loadu_si128(s + i));
-    }
-    std::memcpy(reinterpret_cast<uint8_t*>(dst) + chunks * 16,
-                reinterpret_cast<const uint8_t*>(src) + chunks * 16,
-                bytes - chunks * 16);
-    return;
-  }
-#endif
-  std::memcpy(dst, src, bytes);
-}
-
 /// Stage one tuple in its partition's write buffer, flushing a full cache
 /// line (streamed when aligned) or re-aligning a mid-line cursor. Shared
 /// by the scalar and fused scatter paths.
@@ -212,14 +185,18 @@ FPART_FORCE_INLINE void BufferedInsert(const T& tuple, uint32_t p,
   }
 }
 
-/// Drain all partially filled buffers after the scatter loop.
+/// Drain all partially filled buffers after the scatter loop, with plain
+/// stores. Streaming a partial line saves no read-for-ownership (the line
+/// is not written whole) and costs a partial write-combining flush plus a
+/// DRAM re-read when the dummy padding lands in the same line right after
+/// (DESIGN.md "CPU fast paths"). The fence orders the scatter's streamed
+/// full lines before the run publishes.
 template <typename T>
 inline void DrainBuffers(const WriteBuffer<T>* buffers, const uint8_t* fill,
-                         uint64_t* dst, T* out_base, uint32_t fanout,
-                         bool non_temporal) {
+                         uint64_t* dst, T* out_base, uint32_t fanout) {
   for (uint32_t p = 0; p < fanout; ++p) {
     if (fill[p] == 0) continue;
-    DrainPartial(out_base + dst[p], buffers[p].slots, fill[p], non_temporal);
+    std::memcpy(out_base + dst[p], buffers[p].slots, fill[p] * sizeof(T));
     dst[p] += fill[p];
   }
   StoreFence();
@@ -277,7 +254,7 @@ void Scatter(const PartitionFn& fn, const T* tuples, size_t begin, size_t end,
                              out_base, config.non_temporal);
   }
   internal::DrainBuffers(buffers.data(), fill.data(), dst, out_base,
-                         fn.fanout(), config.non_temporal);
+                         fn.fanout());
 }
 
 /// Fused phase 1 of the fast path: compute each tuple's partition index
@@ -437,8 +414,7 @@ void ScatterFused(const T* tuples, size_t begin, size_t end,
                                config.non_temporal, flush_level);
     }
   }
-  internal::DrainBuffers(buffers.data(), fill.data(), dst, out_base, fanout,
-                         config.non_temporal);
+  internal::DrainBuffers(buffers.data(), fill.data(), dst, out_base, fanout);
 }
 
 /// \brief Single-pass parallel radix/hash partitioning.
@@ -559,8 +535,8 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
   for (uint32_t p = 0; p < config.fanout; ++p) {
     capacity_cls[p] = static_cast<uint32_t>((part_total[p] + kK - 1) / kK);
   }
-  FPART_ASSIGN_OR_RETURN(PartitionedOutput<T> output,
-                         PartitionedOutput<T>::Allocate(capacity_cls));
+  FPART_ASSIGN_OR_RETURN(PartitionedOutputBuilder<T> output,
+                         PartitionedOutputBuilder<T>::Allocate(capacity_cls));
   T* out_base = reinterpret_cast<T*>(output.line(0));
   std::vector<std::vector<uint64_t>> cursor(
       num_threads, std::vector<uint64_t>(config.fanout, 0));
@@ -614,7 +590,7 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
       data[i] = MakeDummyTuple<T>();
     }
   }
-  result.output = std::move(output);
+  result.output = std::move(output).Seal();
   result.histogram = std::move(part_total);
   result.seconds = seconds;
   result.mtuples_per_sec = seconds > 0 ? n / seconds / 1e6 : 0.0;

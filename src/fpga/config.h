@@ -81,8 +81,10 @@ struct FpgaPartitionerConfig {
   SimMode sim_mode = SimMode::kFast;
   /// Memoize full run results keyed by (config digest, input digest) in
   /// the process-wide SimResultCache, so repeated job shapes never
-  /// re-simulate (src/fpga/sim_cache.h). A hit returns a deep copy of the
-  /// cached output and its CycleStats.
+  /// re-simulate (src/fpga/sim_cache.h). A hit returns the cached
+  /// CycleStats and shares the cached output's read-only bytes (no copy);
+  /// the cache's byte budget does not count buffers that live results
+  /// still hold after eviction.
   bool sim_cache = false;
 
   /// Cooperative cancellation token (svc job cancellation / FPGA lease

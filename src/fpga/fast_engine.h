@@ -136,7 +136,7 @@ class FastCircuit {
   __attribute__((flatten))
 #endif
   Status PartitionPass(size_t n, uint64_t max_cycles, QpiLink* link,
-                       CycleStats* stats, PartitionedOutput<T>* output) {
+                       CycleStats* stats, PartitionedOutputBuilder<T>* output) {
     AllocateCombinerState();
     const size_t total_reads = stager_.TotalReads(n);
 
@@ -511,7 +511,7 @@ class FastCircuit {
 
   /// One write-back clock (reference: WriteBackModule::Tick).
   void WriteBackTick(QpiLink* link, CycleStats* stats,
-                     PartitionedOutput<T>* out) {
+                     PartitionedOutputBuilder<T>* out) {
     if (!wb_valid_ && !overflowed_ && out_mask_ != 0) {
       // Round-robin pick: rotate the occupancy mask so rr_cursor_ is bit 0
       // and take the lowest set bit — same lane the reference scan finds.

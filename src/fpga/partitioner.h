@@ -215,12 +215,12 @@ class FpgaPartitioner {
       cache_key = CacheKey(ConfigDigest(), InputDigest(n));
       if (std::shared_ptr<const FpgaRunResult<T>> hit =
               ResultCache().Lookup(cache_key)) {
-        // A hit replays the memoized run: identical output bytes and
-        // CycleStats, but the per-run sim.* counters are not re-published
-        // (the simulation did not happen again) — only the cache counters
-        // record the probe.
+        // A hit replays the memoized run: the same output bytes (shared,
+        // not copied — a sealed output is immutable) and CycleStats, but
+        // the per-run sim.* counters are not re-published (the simulation
+        // did not happen again) — only the cache counters record the probe.
         PublishCacheObservability(true);
-        return CloneResult(*hit);
+        return *hit;
       }
       PublishCacheObservability(false);
     }
@@ -229,11 +229,9 @@ class FpgaPartitioner {
     FPART_RETURN_NOT_OK(RunEngine(n, &result));
 
     if (config_.sim_cache) {
-      FPART_ASSIGN_OR_RETURN(FpgaRunResult<T> copy, CloneResult(result));
-      ResultCache().Insert(
-          cache_key,
-          std::make_shared<const FpgaRunResult<T>>(std::move(copy)),
-          ResultBytes(result));
+      ResultCache().Insert(cache_key,
+                           std::make_shared<const FpgaRunResult<T>>(result),
+                           ResultBytes(result));
       PublishCacheOccupancy();
     }
     PublishRunObservability(result.stats);
@@ -294,8 +292,8 @@ class FpgaPartitioner {
       std::fill(capacity_cls.begin(), capacity_cls.end(),
                 std::max(1u, cls));
     }
-    FPART_ASSIGN_OR_RETURN(result.output,
-                           PartitionedOutput<T>::Allocate(capacity_cls));
+    FPART_ASSIGN_OR_RETURN(PartitionedOutputBuilder<T> output,
+                           PartitionedOutputBuilder<T>::Allocate(capacity_cls));
 
     if (cancelled()) {
       return Status::Cancelled("FPGA partition cancelled between passes");
@@ -303,11 +301,12 @@ class FpgaPartitioner {
     if (mode == SimMode::kFast) {
       FastCircuit<T> circuit(config_, fn_, hazard_, stager);
       FPART_RETURN_NOT_OK(circuit.PartitionPass(n, MaxCycles(n), &link,
-                                                &result.stats, &result.output));
+                                                &result.stats, &output));
     } else {
       FPART_RETURN_NOT_OK(
-          PartitionPass(stager, n, &link, &result.stats, &result.output));
+          PartitionPass(stager, n, &link, &result.stats, &output));
     }
+    result.output = std::move(output).Seal();
 
     result.seconds = result.stats.Seconds(kFpgaClockHz);
     result.mtuples_per_sec =
@@ -466,17 +465,6 @@ class FpgaPartitioner {
     return h.Finish();
   }
 
-  static Result<FpgaRunResult<T>> CloneResult(const FpgaRunResult<T>& r) {
-    FpgaRunResult<T> out;
-    FPART_ASSIGN_OR_RETURN(out.output, r.output.Clone());
-    out.stats = r.stats;
-    out.seconds = r.seconds;
-    out.mtuples_per_sec = r.mtuples_per_sec;
-    out.histogram = r.histogram;
-    out.read_write_ratio = r.read_write_ratio;
-    return out;
-  }
-
   static size_t ResultBytes(const FpgaRunResult<T>& r) {
     return static_cast<size_t>(r.output.total_cls()) * kCacheLineSize +
            r.output.num_partitions() * sizeof(PartitionInfo) +
@@ -531,7 +519,7 @@ class FpgaPartitioner {
 
   /// The writing pass (PAD's only pass / HIST's second pass).
   Status PartitionPass(const InputStager<T>& stager, size_t n, QpiLink* link,
-                       CycleStats* stats, PartitionedOutput<T>* output) {
+                       CycleStats* stats, PartitionedOutputBuilder<T>* output) {
     std::vector<WriteCombiner<T>> combiners;
     combiners.reserve(K);
     for (int c = 0; c < K; ++c) {

@@ -15,9 +15,12 @@
 //  * ShardedLruCache<V>: a byte-budgeted LRU of shared_ptr<const V>,
 //    sharded 16 ways like the obs metrics registry so concurrent probes
 //    from scheduler workers do not serialize on one lock. Values are
-//    immutable once inserted; callers deep-copy after the lookup returns
-//    (FpgaRunResult buffers are move-only, so sharing the stored instance
-//    directly would let one consumer mutate another's hit).
+//    immutable once inserted. A hit copies the stored FpgaRunResult,
+//    which is O(1) for its output: a sealed PartitionedOutput shares its
+//    read-only bytes with every copy, so the filling miss, the entry and
+//    every hit point at one buffer. The byte budget therefore bounds what
+//    the cache holds, not what live results still pin: an evicted or
+//    cleared entry's buffer stays alive until its last holder drops it.
 //
 // The typed global cache instance lives in fpga/partitioner.h
 // (FpgaPartitioner<T>::ResultCache), because the cached value type

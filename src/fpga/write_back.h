@@ -31,7 +31,7 @@ class WriteBackModule {
   ///                overflow abort (HIST capacities are exact, so there the
   ///                check never fires).
   /// \param inputs  one output FIFO per write combiner
-  WriteBackModule(PartitionedOutput<T>* out,
+  WriteBackModule(PartitionedOutputBuilder<T>* out,
                   std::vector<Fifo<CombinedLine<T>>*> inputs)
       : out_(out), inputs_(std::move(inputs)) {}
 
@@ -81,7 +81,7 @@ class WriteBackModule {
   uint32_t overflow_partition() const { return overflow_partition_; }
 
  private:
-  PartitionedOutput<T>* out_;
+  PartitionedOutputBuilder<T>* out_;
   std::vector<Fifo<CombinedLine<T>>*> inputs_;
   size_t rr_cursor_ = 0;
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -202,6 +204,50 @@ TEST(CpuPartitionerTest, PartitionsAreCacheLineAligned) {
     EXPECT_EQ(reinterpret_cast<uintptr_t>(run->output.partition_data(p)) %
                   kCacheLineSize,
               0u);
+  }
+}
+
+// Streaming stores are a store-path choice only: with and without them the
+// output lines (dummy padding included) and the partition table must be
+// identical. High fanouts with few tuples leave most partitions shorter
+// than one line, and with 3 threads the per-thread cursors start mid-line,
+// so every drain case (partial line, misaligned head, full line) is hit.
+TEST(CpuPartitionerTest, NonTemporalStoresLeaveOutputBytesUnchanged) {
+  for (uint32_t fanout : {2048u, 8192u}) {
+    for (size_t n : {size_t{4096}, size_t{8192}, size_t{30000}}) {
+      for (size_t threads : {size_t{1}, size_t{3}}) {
+        SCOPED_TRACE("fanout " + std::to_string(fanout) + " n " +
+                     std::to_string(n) + " threads " +
+                     std::to_string(threads));
+        auto rel = MakeRelation<Tuple8>(n, 71 + n);
+        CpuPartitionerConfig config;
+        config.fanout = fanout;
+        config.hash = HashMethod::kMurmur;
+        config.num_threads = threads;
+        config.non_temporal = true;
+        auto streamed = CpuPartition(config, rel.data(), rel.size());
+        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+        config.non_temporal = false;
+        auto plain = CpuPartition(config, rel.data(), rel.size());
+        ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+        PartitionFn fn(config.hash, config.fanout);
+        ExpectCorrect(*streamed, fn, rel.data(), rel.size());
+        ExpectCorrect(*plain, fn, rel.data(), rel.size());
+        const PartitionedOutput<Tuple8>& a = streamed->output;
+        const PartitionedOutput<Tuple8>& b = plain->output;
+        ASSERT_EQ(a.num_partitions(), b.num_partitions());
+        for (uint32_t p = 0; p < fanout; ++p) {
+          ASSERT_EQ(a.part(p).base_cl, b.part(p).base_cl) << p;
+          ASSERT_EQ(a.part(p).capacity_cls, b.part(p).capacity_cls) << p;
+          ASSERT_EQ(a.part(p).written_cls, b.part(p).written_cls) << p;
+          ASSERT_EQ(a.part(p).num_tuples, b.part(p).num_tuples) << p;
+        }
+        ASSERT_EQ(a.total_cls(), b.total_cls());
+        EXPECT_EQ(0, std::memcmp(a.line(0), b.line(0),
+                                 a.total_cls() * kCacheLineSize));
+      }
+    }
   }
 }
 

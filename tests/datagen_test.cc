@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "datagen/distribution.h"
@@ -266,20 +267,22 @@ TEST(WorkloadTest, RejectsEmptyWorkload) {
 }
 
 TEST(PartitionedOutputTest, LayoutIsContiguous) {
-  auto out = PartitionedOutput<Tuple8>::Allocate({2, 0, 3});
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_partitions(), 3u);
-  EXPECT_EQ(out->part(0).base_cl, 0u);
-  EXPECT_EQ(out->part(1).base_cl, 2u);
-  EXPECT_EQ(out->part(2).base_cl, 2u);
-  EXPECT_EQ(out->total_cls(), 5u);
+  auto builder = PartitionedOutputBuilder<Tuple8>::Allocate({2, 0, 3});
+  ASSERT_TRUE(builder.ok());
+  const PartitionedOutput<Tuple8> out = std::move(*builder).Seal();
+  EXPECT_EQ(out.num_partitions(), 3u);
+  EXPECT_EQ(out.part(0).base_cl, 0u);
+  EXPECT_EQ(out.part(1).base_cl, 2u);
+  EXPECT_EQ(out.part(2).base_cl, 2u);
+  EXPECT_EQ(out.total_cls(), 5u);
 }
 
 TEST(PartitionedOutputTest, SlotsFollowWrittenLines) {
-  auto out = PartitionedOutput<Tuple16>::Allocate({4});
-  ASSERT_TRUE(out.ok());
-  out->part(0).written_cls = 3;
-  EXPECT_EQ(out->partition_slots(0), 12u);  // 3 lines × 4 tuples
+  auto builder = PartitionedOutputBuilder<Tuple16>::Allocate({4});
+  ASSERT_TRUE(builder.ok());
+  builder->part(0).written_cls = 3;
+  const PartitionedOutput<Tuple16> out = std::move(*builder).Seal();
+  EXPECT_EQ(out.partition_slots(0), 12u);  // 3 lines × 4 tuples
 }
 
 }  // namespace

@@ -5,15 +5,22 @@
 // probes, inserts and hits stay consistent (run under TSan by
 // scripts/check.sh).
 //
+// Hits share the memoized run's sealed output instead of copying it, so
+// the tests also pin that sharing: one buffer address across the filling
+// miss and every hit, a hit that outlives its cache entry, and a sealed
+// output that offers no mutating accessor.
+//
 // The suite keeps the name SimAnalyticalTest from the file these tests
 // used to share with the (since removed) analytical engine, so their test
 // IDs stay stable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <concepts>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -120,6 +127,83 @@ TEST(SimAnalyticalTest, CacheWorksForFastModeToo) {
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   ExpectIdenticalRuns(*exact, *hit, "reference run vs reference hit");
   FpgaPartitioner<Tuple8>::ResultCache().Clear();
+}
+
+// Any accessor through which a holder could write the partitions or the
+// partition table. Only the producer-side builder may have one.
+template <typename O>
+concept HasMutatingAccessor =
+    requires(O& o) { { o.line(0) } -> std::same_as<uint8_t*>; } ||
+    requires(O& o) { { o.part(0) } -> std::same_as<PartitionInfo&>; } ||
+    requires(O& o) { { o.partition_data(0) } -> std::same_as<Tuple8*>; } ||
+    requires(const std::vector<uint32_t>& caps) { O::Allocate(caps); };
+static_assert(HasMutatingAccessor<PartitionedOutputBuilder<Tuple8>>,
+              "the concept must detect the builder's writable API");
+static_assert(!HasMutatingAccessor<PartitionedOutput<Tuple8>>,
+              "a sealed output must be read-only");
+static_assert(std::is_copy_constructible_v<PartitionedOutput<Tuple8>> &&
+                  !std::is_copy_constructible_v<
+                      PartitionedOutputBuilder<Tuple8>>,
+              "sealed outputs are shared by copy, builders are move-only");
+
+TEST(SimAnalyticalTest, HitsShareTheBufferTheMissFilled) {
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+  FpgaPartitionerConfig config;
+  config.fanout = 2048;
+  config.sim_cache = true;
+  auto tuples = MakeTuples(16384, /*seed=*/51);
+
+  FpgaPartitioner<Tuple8> part(config);
+  auto miss = part.Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  auto hit1 = part.Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(hit1.ok()) << hit1.status().ToString();
+  auto hit2 = part.Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(hit2.ok()) << hit2.status().ToString();
+  EXPECT_EQ(FpgaPartitioner<Tuple8>::ResultCache().stats().entries, 1u);
+  ASSERT_GT(miss->output.total_cls(), 0u);
+  EXPECT_EQ(miss->output.line(0), hit1->output.line(0));
+  EXPECT_EQ(miss->output.line(0), hit2->output.line(0));
+
+  config.sim_cache = false;
+  FpgaPartitioner<Tuple8> uncached(config);
+  auto exact = uncached.Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_NE(exact->output.line(0), miss->output.line(0));
+  ExpectIdenticalRuns(*exact, *miss, "uncached vs filling miss");
+  ExpectIdenticalRuns(*exact, *hit1, "uncached vs first hit");
+  ExpectIdenticalRuns(*exact, *hit2, "uncached vs second hit");
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+}
+
+TEST(SimAnalyticalTest, HitOutlivesItsCacheEntry) {
+  // The cache's byte budget bounds what the cache holds, not what live
+  // results pin: a hit keeps the shared bytes alive after the entry (and
+  // the miss that filled it) are gone. Run under ASan by scripts/check.sh.
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+  FpgaPartitionerConfig config;
+  config.fanout = 256;
+  config.output_mode = OutputMode::kHist;
+  config.sim_cache = true;
+  auto tuples = MakeTuples(12000, /*seed=*/61);
+
+  FpgaPartitioner<Tuple8> part(config);
+  FpgaRunResult<Tuple8> hit;
+  {
+    auto miss = part.Partition(tuples.data(), tuples.size());
+    ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+    auto held = part.Partition(tuples.data(), tuples.size());
+    ASSERT_TRUE(held.ok()) << held.status().ToString();
+    hit = std::move(*held);
+  }
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+  EXPECT_EQ(FpgaPartitioner<Tuple8>::ResultCache().stats().entries, 0u);
+
+  config.sim_cache = false;
+  FpgaPartitioner<Tuple8> uncached(config);
+  auto exact = uncached.Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ExpectIdenticalRuns(*exact, hit, "uncached vs hit held across Clear()");
 }
 
 TEST(SimAnalyticalTest, ConcurrentCacheAccessIsConsistent) {

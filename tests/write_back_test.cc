@@ -23,14 +23,14 @@ CombinedLine<Tuple8> MakeLine(uint32_t partition, uint32_t tag) {
 }
 
 struct Rig {
-  PartitionedOutput<Tuple8> out;
+  PartitionedOutputBuilder<Tuple8> out;
   std::vector<Fifo<CombinedLine<Tuple8>>> fifos;
   QpiLink link = QpiLink::Fixed(200e6, 12.8);  // 1 line/cycle
   CycleStats stats;
 
   explicit Rig(std::vector<uint32_t> caps, int num_fifos = 2)
       : fifos(num_fifos, Fifo<CombinedLine<Tuple8>>(8)) {
-    auto o = PartitionedOutput<Tuple8>::Allocate(caps);
+    auto o = PartitionedOutputBuilder<Tuple8>::Allocate(caps);
     EXPECT_TRUE(o.ok());
     out = std::move(*o);
   }
