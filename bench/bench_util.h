@@ -1,7 +1,10 @@
 // Shared helpers for the table/figure reproduction binaries.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +27,46 @@ inline void Banner(const char* experiment, const char* paper_ref) {
 /// paper-vs-measured columns.
 inline double DeltaPct(double measured, double paper) {
   return paper != 0 ? (measured - paper) / paper * 100.0 : 0.0;
+}
+
+/// One FNV-1a step over the eight little-endian bytes of `v`; the replay
+/// benches fold their determinism hashes with it.
+inline uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (b * 8)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Match argv[*i] against `flag`, accepting both "--flag value" and
+/// "--flag=value"; on a match store the value and advance *i past it.
+inline bool ParseFlag(int argc, char** argv, int* i, const char* flag,
+                      std::string* value) {
+  const size_t len = std::strlen(flag);
+  if (std::strncmp(argv[*i], flag, len) != 0) return false;
+  if (argv[*i][len] == '=') {
+    *value = argv[*i] + len + 1;
+    return true;
+  }
+  if (argv[*i][len] == '\0' && *i + 1 < argc) {
+    *value = argv[++*i];
+    return true;
+  }
+  return false;
+}
+
+/// The eight job size classes (tuples) of the service replays, scaled by
+/// FPART_SCALE. Zipf rank 1 maps to the smallest class: a service sees
+/// many small requests and few huge ones.
+inline std::vector<size_t> SizeClasses() {
+  const double scale = BenchScale();
+  std::vector<size_t> classes;
+  for (size_t base = 4096; base <= 524288; base *= 2) {
+    classes.push_back(
+        std::max<size_t>(512, static_cast<size_t>(base * scale)));
+  }
+  return classes;
 }
 
 /// \brief Snapshot of the cumulative `hw.<phase>.*` registry counters that

@@ -51,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -62,6 +63,10 @@
 
 namespace fpart {
 namespace {
+
+using bench::Fnv1a;
+using bench::ParseFlag;
+using bench::SizeClasses;
 
 struct Options {
   uint64_t jobs = 4000;
@@ -83,26 +88,6 @@ struct Options {
   svc::PlacementPolicy policy = svc::PlacementPolicy::kAdaptive;
   bool sim_cache = false;
 };
-
-// The eight job size classes (tuples), scaled by FPART_SCALE — same shape
-// as ext_service: many small requests, few huge ones.
-std::vector<size_t> SizeClasses() {
-  const double scale = BenchScale();
-  std::vector<size_t> classes;
-  for (size_t base = 4096; base <= 524288; base *= 2) {
-    classes.push_back(
-        std::max<size_t>(512, static_cast<size_t>(base * scale)));
-  }
-  return classes;
-}
-
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (b * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 int Run(const Options& opt) {
   const std::vector<size_t> classes = SizeClasses();
@@ -403,22 +388,6 @@ int Run(const Options& opt) {
   }
   if (failed != 0) return 1;
   return 0;
-}
-
-// Accept both "--flag value" and "--flag=value".
-bool ParseFlag(int argc, char** argv, int* i, const char* flag,
-               std::string* value) {
-  const size_t len = std::strlen(flag);
-  if (std::strncmp(argv[*i], flag, len) != 0) return false;
-  if (argv[*i][len] == '=') {
-    *value = argv[*i] + len + 1;
-    return true;
-  }
-  if (argv[*i][len] == '\0' && *i + 1 < argc) {
-    *value = argv[++*i];
-    return true;
-  }
-  return false;
 }
 
 }  // namespace

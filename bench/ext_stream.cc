@@ -64,6 +64,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -75,6 +76,9 @@
 
 namespace fpart {
 namespace {
+
+using bench::Fnv1a;
+using bench::ParseFlag;
 
 struct Options {
   uint64_t ops = 20000;
@@ -106,14 +110,6 @@ struct Options {
   Engine drain_engine = Engine::kCpu;
   bool sim_cache = true;
 };
-
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (b * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 double Percentile(std::vector<uint64_t>* v, double q) {
   if (v->empty()) return 0.0;
@@ -550,22 +546,6 @@ int Run(const Options& opt) {
     return 1;
   }
   return 0;
-}
-
-// Accept both "--flag value" and "--flag=value".
-bool ParseFlag(int argc, char** argv, int* i, const char* flag,
-               std::string* value) {
-  const size_t len = std::strlen(flag);
-  if (std::strncmp(argv[*i], flag, len) != 0) return false;
-  if (argv[*i][len] == '=') {
-    *value = argv[*i] + len + 1;
-    return true;
-  }
-  if (argv[*i][len] == '\0' && *i + 1 < argc) {
-    *value = argv[++*i];
-    return true;
-  }
-  return false;
 }
 
 }  // namespace

@@ -43,19 +43,11 @@ namespace fpart {
 /// QPI transfer granularity, Section 2.1 of the paper).
 inline constexpr int kCacheLineSize = 64;
 
-/// Software prefetch hints used by the vectorized CPU hot paths. No-ops on
+/// Software read-prefetch hint of the join build/probe loops. A no-op on
 /// compilers without __builtin_prefetch.
 inline void PrefetchForRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, 0, 3);
-#else
-  (void)p;
-#endif
-}
-
-inline void PrefetchForWrite(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, 1, 3);
 #else
   (void)p;
 #endif

@@ -56,15 +56,9 @@ struct CpuPartitionerConfig {
   /// histogram phase computes every chunk's partition indices once —
   /// batched through the SIMD kernels when the host supports them — into a
   /// per-thread index scratch that the scatter then replays, so no tuple
-  /// is hashed twice and the scatter can prefetch its write buffers ahead.
+  /// is hashed twice.
   /// Opt-out knob so the ablation benches can chart the PR-1 scalar path.
   bool use_simd = true;
-  /// Tuples of lookahead for the fused scatter's software prefetch of the
-  /// per-partition write-buffer line (0 disables prefetching). Off by
-  /// default: on the measured hosts the buffer block is L2-resident even
-  /// at fanout 8192 (512 KB of 64 B buffers) and the extra index load per
-  /// tuple costs more than the L2 latency it hides — see DESIGN.md.
-  uint32_t prefetch_distance = 0;
   /// Optional shared pool; a private one is created per call when null.
   ThreadPool* pool = nullptr;
   /// Worker pinning policy for the private pool (ignored when `pool` is
@@ -363,56 +357,31 @@ void FusedHistogram(const PartitionFn& fn, const T* tuples, size_t begin,
 }
 
 /// Fused phase 2: scatter using the partition indices precomputed by
-/// FusedHistogram — no second hash pass — and software-prefetch the
-/// per-partition write-buffer line `prefetch_distance` tuples ahead (the
-/// buffer block exceeds L1 at high fan-outs, so the insert's random
-/// access would otherwise stall on L2). Handles both the Code 2 buffered
-/// path and the Code 1 direct scatter.
+/// FusedHistogram — no second hash pass. Handles both the Code 2 buffered
+/// path and the Code 1 direct scatter. There is no software prefetch of
+/// the write-buffer line: an A/B on the measured hosts showed no
+/// consistent gain (DESIGN.md "CPU fast paths").
 template <typename T, typename IndexT>
 void ScatterFused(const T* tuples, size_t begin, size_t end,
                   const IndexT* idx, uint32_t fanout, uint64_t* dst,
                   T* out_base, const CpuPartitionerConfig& config) {
-  const size_t dist = config.prefetch_distance;
 #if defined(FPART_HAS_X86_SIMD_KERNELS)
   const SimdLevel flush_level = ActiveSimdLevel();
 #else
   constexpr SimdLevel flush_level = SimdLevel::kScalar;
 #endif
   if (!config.use_buffers) {
-    // Code 1, single-hash: prefetch the destination cursor's line ahead.
-    if (dist == 0) {
-      for (size_t i = begin; i < end; ++i) {
-        out_base[dst[idx[i]]++] = tuples[i];
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        if (i + dist < end) {
-          PrefetchForWrite(out_base + dst[idx[i + dist]]);
-        }
-        out_base[dst[idx[i]]++] = tuples[i];
-      }
+    for (size_t i = begin; i < end; ++i) {
+      out_base[dst[idx[i]]++] = tuples[i];
     }
     return;
   }
   std::vector<internal::WriteBuffer<T>> buffers(fanout);
   std::vector<uint8_t> fill(fanout, 0);
-  // Specialized loops: the prefetch costs an extra index load per tuple,
-  // so the disabled case must not pay even the test for it.
-  if (dist == 0) {
-    for (size_t i = begin; i < end; ++i) {
-      internal::BufferedInsert(tuples[i], static_cast<uint32_t>(idx[i]),
-                               buffers.data(), fill.data(), dst, out_base,
-                               config.non_temporal, flush_level);
-    }
-  } else {
-    for (size_t i = begin; i < end; ++i) {
-      if (i + dist < end) {
-        PrefetchForWrite(&buffers[idx[i + dist]]);
-      }
-      internal::BufferedInsert(tuples[i], static_cast<uint32_t>(idx[i]),
-                               buffers.data(), fill.data(), dst, out_base,
-                               config.non_temporal, flush_level);
-    }
+  for (size_t i = begin; i < end; ++i) {
+    internal::BufferedInsert(tuples[i], static_cast<uint32_t>(idx[i]),
+                             buffers.data(), fill.data(), dst, out_base,
+                             config.non_temporal, flush_level);
   }
   internal::DrainBuffers(buffers.data(), fill.data(), dst, out_base, fanout);
 }

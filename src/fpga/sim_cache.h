@@ -7,7 +7,9 @@
 //
 //  * SimHasher / SimDigest: a 128-bit streaming digest (two independent
 //    word-at-a-time FNV-1a lanes, finished with splitmix64) used to key
-//    runs by config digest + input digest + simulation mode. 128 bits make
+//    runs by config digest + input digest. The simulation mode is not part
+//    of the key: the engines are cycle-exact, so either may answer from an
+//    entry the other filled (FpgaPartitioner::ConfigDigest). 128 bits make
 //    accidental collisions across a service lifetime implausible
 //    (~2^-64 at a billion distinct runs); the digest is NOT
 //    cryptographic and the cache must only be fed trusted inputs.

@@ -46,14 +46,6 @@ struct HybridJoinConfig {
   /// probe all) instead of the cache-friendlier per-partition interleave,
   /// so the paper-figure benchmarks keep it off.
   bool overlap_partitioning = false;
-  /// Software-prefetch lookahead for the build+probe bucket accesses.
-  uint32_t prefetch_distance = 16;
-  /// Exact per-partition tuple counts of S, when the caller already knows
-  /// them (a recurring join against the same S, or a prior HIST-mode run).
-  /// Lets the overlapped build skip R partitions whose S side is empty —
-  /// their tables would never be probed. Must be exact: a zero entry for a
-  /// non-empty S partition silently drops its matches. Not owned.
-  const std::vector<uint64_t>* s_histogram = nullptr;
 };
 
 namespace internal {
@@ -107,13 +99,11 @@ Result<JoinResult> HybridJoin(const HybridJoinConfig& config,
     {
       obs::TraceSpan span("hybrid.build_probe", "join");
       auto tables = ParallelBuildTables(pr.output, config.num_threads, pool,
-                                        &bp, static_cast<const T*>(nullptr),
-                                        config.prefetch_distance,
-                                        config.s_histogram);
+                                        &bp, static_cast<const T*>(nullptr));
       s_sim.join();
       FPART_ASSIGN_OR_RETURN(ps, std::move(s_run));
       ParallelProbeTables(pr.output, ps.output, tables, config.num_threads,
-                          pool, &bp, config.prefetch_distance);
+                          pool, &bp);
     }
   } else {
     {
@@ -126,8 +116,7 @@ Result<JoinResult> HybridJoin(const HybridJoinConfig& config,
     }
     obs::TraceSpan span("hybrid.build_probe", "join");
     bp = ParallelBuildProbe(pr.output, ps.output, config.num_threads, pool,
-                            static_cast<const T*>(nullptr),
-                            config.prefetch_distance);
+                            static_cast<const T*>(nullptr));
   }
 
   double build_probe = bp.wall_seconds;

@@ -26,9 +26,6 @@ struct CpuJoinConfig {
   bool non_temporal = true;
   /// Fused single-hash SIMD partitioning path (see CpuPartitionerConfig).
   bool use_simd = true;
-  /// Software-prefetch lookahead for the partitioning scatter and the
-  /// build+probe bucket accesses (0 disables prefetching).
-  uint32_t prefetch_distance = 16;
   /// Shared worker pool; when null and num_threads > 1 the call constructs
   /// its own (benchmark loops should pass one and reuse it).
   ThreadPool* pool = nullptr;
@@ -59,7 +56,6 @@ Result<JoinResult> CpuRadixJoin(const CpuJoinConfig& config,
   pc.use_buffers = config.use_buffers;
   pc.non_temporal = config.non_temporal;
   pc.use_simd = config.use_simd;
-  pc.prefetch_distance = config.prefetch_distance;
 
   std::unique_ptr<ThreadPool> own_pool;
   ThreadPool* pool = config.pool;
@@ -83,8 +79,7 @@ Result<JoinResult> CpuRadixJoin(const CpuJoinConfig& config,
   {
     obs::TraceSpan span("join.radix.build_probe", "join");
     bp = ParallelBuildProbe(pr.output, ps.output, config.num_threads, pool,
-                            static_cast<const T*>(nullptr),
-                            config.prefetch_distance);
+                            static_cast<const T*>(nullptr));
   }
   auto& reg = obs::Registry::Global();
   reg.GetCounter("join.radix.runs", "runs", "CPU radix joins completed")

@@ -3,10 +3,11 @@
 // The software allocates 4 MB pages through the platform API, transmits
 // their physical addresses to the FPGA (populating its page table), and
 // addresses the pool through a page-pointer array on the CPU side. Here the
-// "physical" backing is one aligned host allocation; the value of the model
-// is that every FPGA access in the simulator goes through a genuine VA→PA
-// translation, so the tests exercise the same addressing contract as the
-// hardware.
+// "physical" backing is one aligned host allocation; FpgaRead/FpgaWrite
+// translate every access through the page table (a genuine VA→PA step), so
+// the tests exercise the same addressing contract as the hardware. The
+// partitioner simulation does not access memory through this pool: it
+// models translation by its latency only (fpga/partitioner.h).
 #pragma once
 
 #include <cstdint>

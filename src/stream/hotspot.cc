@@ -41,7 +41,6 @@ HotspotMetrics& Metrics() {
 HotspotDetector::HotspotDetector(HotspotConfig config) : config_(config) {
   if (config_.hysteresis_ticks < 1) config_.hysteresis_ticks = 1;
   if (config_.cooldown_ticks < 0) config_.cooldown_ticks = 0;
-  if (config_.max_actions_per_tick == 0) config_.max_actions_per_tick = 1;
 }
 
 std::vector<RebalanceAction> HotspotDetector::Tick(
@@ -108,7 +107,7 @@ std::vector<RebalanceAction> HotspotDetector::Tick(
     const uint64_t combined = b.tuples + buddy->second;
     Streak& s = state_[{b.pattern, b.depth}];
     const bool cold = obs::Histogram::BucketOf(combined) <=
-                      mean_class - config_.merge_log2_delta;
+                      mean_class - kMergeLog2Delta;
     if (!cold) {
       s.cold = 0;
       continue;
@@ -144,11 +143,11 @@ std::vector<RebalanceAction> HotspotDetector::Tick(
                                           : a.pattern < b.pattern;
             });
   for (const auto& act : split_cands) {
-    if (actions.size() >= config_.max_actions_per_tick) break;
+    if (actions.size() >= kMaxActionsPerTick) break;
     actions.push_back(act);
   }
   for (const auto& act : merge_cands) {
-    if (actions.size() >= config_.max_actions_per_tick) break;
+    if (actions.size() >= kMaxActionsPerTick) break;
     actions.push_back(act);
   }
 

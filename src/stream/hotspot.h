@@ -7,17 +7,18 @@
 //
 //   split  bucket b:  log2(|b|) >= log2(mean) + split_log2_delta
 //                     and |b| >= split_min_tuples
-//   merge  buddies (lo,hi): log2(|lo|+|hi|) <= log2(mean) - merge_log2_delta
+//   merge  buddies (lo,hi): log2(|lo|+|hi|) <= log2(mean) - kMergeLog2Delta
 //
-// With both deltas at the default 2, a freshly split bucket's children
-// (each ~half of a >=4x-mean parent) sit at least four log2 classes above
-// the merge criterion, so a split can never be immediately undone by a
-// merge — the band gap is the first anti-ping-pong defence. The second is
-// hysteresis: a condition must hold for `hysteresis_ticks` *consecutive*
-// ticks before an action fires, so oscillating load that crosses a
-// threshold for one tick does nothing. The third is a per-pattern
-// cooldown after a flip, so even a persistent borderline signal cannot
-// thrash one bucket. tests/stream_test.cc pins all three properties.
+// With split_log2_delta at its default 2 (kMergeLog2Delta is 2), a freshly
+// split bucket's children (each ~half of a >=4x-mean parent) sit at least
+// four log2 classes above the merge criterion, so a split can never be
+// immediately undone by a merge — the band gap is the first anti-ping-pong
+// defence. The second is hysteresis: a condition must hold for
+// `hysteresis_ticks` *consecutive* ticks before an action fires, so
+// oscillating load that crosses a threshold for one tick does nothing. The
+// third is a per-pattern cooldown after a flip, so even a persistent
+// borderline signal cannot thrash one bucket. tests/stream_test.cc pins
+// all three properties.
 #pragma once
 
 #include <cstdint>
@@ -29,13 +30,17 @@
 
 namespace fpart::stream {
 
+/// log2 classes below the mean a buddy pair's combined size must stay
+/// under to be "cold".
+inline constexpr int kMergeLog2Delta = 2;
+/// Cap on actions emitted per tick: hottest splits first, then the
+/// coldest merges.
+inline constexpr size_t kMaxActionsPerTick = 4;
+
 /// \brief Detector thresholds and damping knobs.
 struct HotspotConfig {
   /// log2 classes above the mean a bucket must reach to be "hot".
   int split_log2_delta = 2;
-  /// log2 classes below the mean a buddy pair's combined size must stay
-  /// under to be "cold".
-  int merge_log2_delta = 2;
   /// Absolute floor: never split a bucket smaller than this (a skewed but
   /// tiny store needs no rebalancing).
   uint64_t split_min_tuples = 4096;
@@ -47,8 +52,6 @@ struct HotspotConfig {
   /// Layout bounds (mirrors StreamStoreConfig; actions respect them).
   uint32_t max_depth = 12;
   uint32_t min_depth = 2;
-  /// Cap on actions emitted per tick (hottest first).
-  size_t max_actions_per_tick = 4;
 };
 
 /// \brief One decision: split the bucket (pattern, depth), or merge the

@@ -87,6 +87,14 @@ uint64_t NowUs() {
 
 }  // namespace
 
+template <typename Fn>
+void StreamStore::ForEachBucket(Fn&& fn) const {
+  std::unordered_set<const Bucket*> seen;
+  for (const auto& b : dir_) {
+    if (seen.insert(b.get()).second) fn(*b);
+  }
+}
+
 StreamStore::StreamStore(StreamStoreConfig config) : config_(config) {
   if (config_.min_depth < 1) config_.min_depth = 1;
   if (config_.max_depth < config_.min_depth) {
@@ -111,35 +119,31 @@ uint32_t StreamStore::global_depth() const {
 
 size_t StreamStore::num_buckets() const {
   std::shared_lock<std::shared_mutex> lock(dir_mu_);
-  std::unordered_set<const Bucket*> distinct;
-  for (const auto& b : dir_) distinct.insert(b.get());
-  return distinct.size();
+  size_t count = 0;
+  ForEachBucket([&](Bucket&) { ++count; });
+  return count;
 }
 
 uint64_t StreamStore::total_tuples() const {
   std::shared_lock<std::shared_mutex> lock(dir_mu_);
   uint64_t n = 0;
-  std::unordered_set<const Bucket*> seen;
-  for (const auto& b : dir_) {
-    if (!seen.insert(b.get()).second) continue;
-    std::lock_guard<std::mutex> lk(b->mu);
-    n += b->tuples.size();
-  }
+  ForEachBucket([&](Bucket& b) {
+    std::lock_guard<std::mutex> lk(b.mu);
+    n += b.tuples.size();
+  });
   return n;
 }
 
 double StreamStore::imbalance() const {
   std::shared_lock<std::shared_mutex> lock(dir_mu_);
   uint64_t max = 0, sum = 0, count = 0;
-  std::unordered_set<const Bucket*> seen;
-  for (const auto& b : dir_) {
-    if (!seen.insert(b.get()).second) continue;
-    std::lock_guard<std::mutex> lk(b->mu);
-    const uint64_t n = b->tuples.size();
+  ForEachBucket([&](Bucket& b) {
+    std::lock_guard<std::mutex> lk(b.mu);
+    const uint64_t n = b.tuples.size();
     max = std::max(max, n);
     sum += n;
     ++count;
-  }
+  });
   if (sum == 0 || count == 0) return 1.0;
   return static_cast<double>(max) * static_cast<double>(count) /
          static_cast<double>(sum);
@@ -148,12 +152,10 @@ double StreamStore::imbalance() const {
 uint64_t StreamStore::KeyChecksum() const {
   std::shared_lock<std::shared_mutex> lock(dir_mu_);
   uint64_t sum = 0;
-  std::unordered_set<const Bucket*> seen;
-  for (const auto& b : dir_) {
-    if (!seen.insert(b.get()).second) continue;
-    std::lock_guard<std::mutex> lk(b->mu);
-    for (const Tuple8& t : b->tuples) sum += KeyFingerprint(t.key);
-  }
+  ForEachBucket([&](Bucket& b) {
+    std::lock_guard<std::mutex> lk(b.mu);
+    for (const Tuple8& t : b.tuples) sum += KeyFingerprint(t.key);
+  });
   return sum;
 }
 
@@ -165,18 +167,16 @@ std::vector<StreamStore::FlipLogEntry> StreamStore::FlipLog() const {
 std::vector<StreamStore::BucketStat> StreamStore::Stats(bool reset_appended) {
   std::shared_lock<std::shared_mutex> lock(dir_mu_);
   std::vector<BucketStat> stats;
-  std::unordered_set<const Bucket*> seen;
-  for (const auto& b : dir_) {
-    if (!seen.insert(b.get()).second) continue;
-    std::lock_guard<std::mutex> lk(b->mu);
+  ForEachBucket([&](Bucket& b) {
+    std::lock_guard<std::mutex> lk(b.mu);
     BucketStat s;
-    s.pattern = b->pattern;
-    s.depth = b->depth;
-    s.tuples = b->tuples.size();
-    s.appended = b->appended;
-    if (reset_appended) b->appended = 0;
+    s.pattern = b.pattern;
+    s.depth = b.depth;
+    s.tuples = b.tuples.size();
+    s.appended = b.appended;
+    if (reset_appended) b.appended = 0;
     stats.push_back(s);
-  }
+  });
   // Directory order is pointer-dedup order; sort by pattern so ticks see
   // a canonical (replay-stable) ordering.
   std::sort(stats.begin(), stats.end(),
@@ -254,7 +254,6 @@ Status StreamStore::DrainLocked() {
   req.hash = config_.hash;
   req.output_mode = OutputMode::kHist;  // exact sizes, no overflow risk
   req.sim_cache = config_.sim_cache;
-  req.num_threads = config_.drain_threads;
   auto run = RunPartition<Tuple8>(req, rel);
   if (!run.ok()) {
     buffer_ = std::move(batch);
@@ -518,9 +517,9 @@ Status StreamStore::Commit(Staged staged) {
 
 void StreamStore::PublishGauges() {
   auto& m = Metrics();
-  std::unordered_set<const Bucket*> distinct;
-  for (const auto& b : dir_) distinct.insert(b.get());
-  m.buckets->Set(static_cast<double>(distinct.size()));
+  size_t count = 0;
+  ForEachBucket([&](Bucket&) { ++count; });
+  m.buckets->Set(static_cast<double>(count));
   m.depth->Set(static_cast<double>(global_depth_));
   m.epoch->Set(static_cast<double>(epoch_.load(std::memory_order_relaxed)));
 }

@@ -66,8 +66,6 @@ struct StreamStoreConfig {
   /// synchronously when the bound is reached (backpressure by design —
   /// the caller's thread pays for the drain).
   size_t buffer_tuples = 8192;
-  /// CPU drains only: threads of the per-drain partitioner run.
-  size_t drain_threads = 1;
 };
 
 /// \brief Outcome of a point read.
@@ -200,6 +198,11 @@ class StreamStore {
   void ScatterSplit(const Tuple8* t, size_t n, uint32_t parent_depth,
                     Bucket* lo, Bucket* hi) const;
   void PublishGauges();  // requires dir_mu_ (any mode)
+  /// Call `fn(Bucket&)` once per distinct bucket, in directory order (the
+  /// slots of a bucket shallower than the global depth share it). Requires
+  /// dir_mu_ (any mode); takes no bucket lock.
+  template <typename Fn>
+  void ForEachBucket(Fn&& fn) const;
 
   StreamStoreConfig config_;
 

@@ -157,15 +157,14 @@ void AdmissionController::ObserveRun(Backend backend, double demand_tuples,
     return;
   }
   const double ratio = std::clamp(actual_seconds / model_est_seconds,
-                                  config_.correction_floor,
-                                  config_.correction_cap);
+                                  kCorrectionFloor, kCorrectionCap);
   std::atomic<uint64_t>& cell = correction_bits_[b][s];
   uint64_t seen = cell.load(std::memory_order_relaxed);
   for (;;) {
     const double next =
         std::clamp((1.0 - config_.ewma_alpha) * DoubleOf(seen) +
                        config_.ewma_alpha * ratio,
-                   config_.correction_floor, config_.correction_cap);
+                   kCorrectionFloor, kCorrectionCap);
     if (cell.compare_exchange_weak(seen, BitsOf(next),
                                    std::memory_order_relaxed)) {
       m.correction[b][s]->Set(next);
@@ -254,18 +253,18 @@ AdmissionController::Pressure AdmissionController::UpdatePressure(
 
   Pressure p;
   p.value = std::max(cpu_pressure, device_pressure);
-  if (cpu_pressure > config_.pressure_high) {
-    const int want = static_cast<int>(
-        std::ceil((cpu_pressure - 1.0) * static_cast<double>(workers)));
+  if (cpu_pressure > kPressureHigh) {
+    const int want = static_cast<int>(std::ceil(
+        (cpu_pressure - kPressureHigh) * static_cast<double>(workers)));
     const int room = static_cast<int>(max_workers) - static_cast<int>(workers);
     p.worker_delta = std::max(0, std::min(want, room));
-  } else if (cpu_pressure < config_.pressure_low && workers > 1) {
+  } else if (cpu_pressure < kPressureLow && workers > 1) {
     p.worker_delta = -1;
   }
-  if (device_pressure > config_.pressure_high) {
-    p.device_delta = static_cast<int>(
-        std::ceil((device_pressure - 1.0) * static_cast<double>(devices)));
-  } else if (device_pressure < config_.pressure_low && devices > 1) {
+  if (device_pressure > kPressureHigh) {
+    p.device_delta = static_cast<int>(std::ceil(
+        (device_pressure - kPressureHigh) * static_cast<double>(devices)));
+  } else if (device_pressure < kPressureLow && devices > 1) {
     p.device_delta = -1;
   }
 

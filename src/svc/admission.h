@@ -55,6 +55,17 @@ inline constexpr size_t kNumBackends = 3;
 size_t SizeClassOf(double demand_tuples);
 const char* SizeClassName(size_t size_class);
 
+/// Clamp on the learned correction factor, so one wild sample cannot swing
+/// predictions by orders of magnitude.
+inline constexpr double kCorrectionFloor = 0.25;
+inline constexpr double kCorrectionCap = 4.0;
+
+/// Pressure hysteresis band for the autoscaling recommendation: above
+/// kPressureHigh recommend growth, below kPressureLow recommend shrink, in
+/// between (either edge included) recommend nothing.
+inline constexpr double kPressureHigh = 1.0;
+inline constexpr double kPressureLow = 0.5;
+
 /// \brief SLO / admission knobs (SchedulerConfig::slo).
 struct SloConfig {
   /// Master switch. Off: no admission checks, no learning, corrections
@@ -67,15 +78,6 @@ struct SloConfig {
   /// EWMA smoothing factor for the cost-model correction (0 < alpha <= 1;
   /// higher = faster adaptation, noisier).
   double ewma_alpha = 0.2;
-  /// Clamp on the learned correction factor, so one wild sample cannot
-  /// swing predictions by orders of magnitude.
-  double correction_floor = 0.25;
-  double correction_cap = 4.0;
-  /// Pressure hysteresis band for the autoscaling recommendation:
-  /// above `pressure_high` recommend growth, below `pressure_low`
-  /// recommend shrink, in between recommend nothing.
-  double pressure_high = 1.0;
-  double pressure_low = 0.5;
 };
 
 /// \brief The admission controller. One per Scheduler; all methods are

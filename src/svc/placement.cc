@@ -9,6 +9,10 @@
 namespace fpart::svc {
 namespace {
 
+// The scheduler runs a job's CPU phases inline on its worker thread, so a
+// CPU placement is costed at one thread.
+constexpr size_t kJobCpuThreads = 1;
+
 PlacementDecision DecidePartition(const PlacementInput& in) {
   PlacementDecision d;
   const FpgaCostModel fpga(in.tuple_width, in.fanout);
@@ -18,7 +22,7 @@ PlacementDecision DecidePartition(const PlacementInput& in) {
   d.device_seconds = d.est_fpga_seconds;
   d.est_cpu_seconds =
       in.cpu_cost_scale *
-      CpuCostModel::PartitionSeconds(in.n_tuples, in.cpu_threads, in.hash);
+      CpuCostModel::PartitionSeconds(in.n_tuples, kJobCpuThreads, in.hash);
   d.fpga_latency_seconds = in.fpga_backlog_seconds + d.est_fpga_seconds;
   d.cpu_latency_seconds = in.cpu_backlog_seconds + d.est_cpu_seconds;
   return d;
@@ -40,11 +44,11 @@ PlacementDecision DecideJoin(const PlacementInput& in) {
       in.cpu_cost_scale *
           CpuCostModel::BuildProbeSeconds(in.r_tuples + in.s_tuples,
                                           in.r_tuples, in.fanout,
-                                          in.cpu_threads);
+                                          kJobCpuThreads);
   d.est_cpu_seconds =
       in.cpu_cost_scale *
       CpuCostModel::JoinSeconds(in.r_tuples, in.s_tuples, in.fanout,
-                                in.cpu_threads, in.hash);
+                                kJobCpuThreads, in.hash);
   // The hybrid join is gated on the device from the start (partitioning is
   // its first phase), so the whole path waits out the device backlog.
   d.fpga_latency_seconds = in.fpga_backlog_seconds + d.est_fpga_seconds;

@@ -40,9 +40,6 @@ struct PlacementInput {
   HashMethod hash = HashMethod::kMurmur;
   Interference interference = Interference::kAlone;
 
-  /// Threads a CPU placement would get.
-  size_t cpu_threads = 1;
-
   /// Queueing state: the model seconds a job arriving now waits on each
   /// backend (svc/clock.h — live mode: the CPU backlog and device-pool
   /// ledgers; deterministic mode: the virtual free clocks minus the job's

@@ -206,7 +206,6 @@ Scheduler::Scheduler(SchedulerConfig config)
       pool_(config_.fpga_devices),
       paused_(config_.start_paused) {
   if (config_.num_workers == 0) config_.num_workers = 1;
-  if (config_.cpu_threads_per_job == 0) config_.cpu_threads_per_job = 1;
   config_.fpga_devices = pool_.num_devices();  // 0 clamps to 1
   // Autoscaling headroom: live mode may park workers beyond num_workers;
   // deterministic mode pins the worker count (virtual clocks are sized
@@ -223,14 +222,6 @@ Scheduler::Scheduler(SchedulerConfig config)
     clock_ = std::make_unique<WallClock>(&pool_, &active_workers_,
                                          Metrics().cpu_backlog,
                                          Metrics().fpga_backlog);
-  }
-  if (config_.cpu_threads_per_job > 1) {
-    worker_pools_.resize(config_.max_workers);
-    for (size_t w = 0; w < config_.max_workers; ++w) {
-      worker_pools_[w] = std::make_unique<ThreadPool>(
-          config_.cpu_threads_per_job,
-          config_.name + "-j" + std::to_string(w), config_.affinity);
-    }
   }
   worker_pins_ = Topology::Host().PinPlan(config_.affinity,
                                           config_.max_workers);
@@ -377,7 +368,6 @@ void Scheduler::Shutdown() {
     if (t.joinable()) t.join();
   }
   workers_.clear();
-  worker_pools_.clear();
 }
 
 std::optional<Backend> Scheduler::ForcedBackend(const JobRecord& rec) const {
@@ -408,7 +398,6 @@ Scheduler::Estimate Scheduler::EstimateJob(const JobRecord& rec,
                                            const Clock::Waits& waits) const {
   PlacementInput in;
   in.kind = rec.kind;
-  in.cpu_threads = config_.cpu_threads_per_job;
   in.cpu_backlog_seconds = waits.cpu;
   in.fpga_backlog_seconds = waits.fpga;
   // EWMA-corrected cost plumbing: scale each side's static estimate by the
@@ -585,12 +574,11 @@ void Scheduler::WorkerLoop(size_t index) {
       rec = std::move(ready_.front());
       ready_.pop_front();
     }
-    ExecuteJob(rec, index);
+    ExecuteJob(rec);
   }
 }
 
-void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
-                           size_t worker) {
+void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec) {
   auto& m = Metrics();
   const double start_seconds = clock_->Now();
   const double queue_seconds = start_seconds - rec->submit_seconds;
@@ -609,8 +597,6 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
   // Placement stamped the backend, virtual times and admission verdict.
   JobOutcome out = rec->outcome;
   out.queue_seconds = queue_seconds;
-  ThreadPool* pool =
-      worker_pools_.empty() ? nullptr : worker_pools_[worker].get();
 
   Status status;
   if (rec->cancel.load(std::memory_order_relaxed)) {
@@ -620,10 +606,10 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
     obs::TraceSpan span("svc.run", "svc");
     switch (rec->kind) {
       case JobKind::kPartition:
-        status = RunPartitionJob(rec.get(), pool, &out);
+        status = RunPartitionJob(rec.get(), &out);
         break;
       case JobKind::kJoin:
-        status = RunJoinJob(rec.get(), pool, &out);
+        status = RunJoinJob(rec.get(), &out);
         break;
       case JobKind::kRebalance:
         status = RunCpuBusy([&] { return rec->rebalance.work(&rec->cancel); });
@@ -700,13 +686,13 @@ Interference Scheduler::DeviceInterference(Interference requested) const {
   return requested;
 }
 
-Status Scheduler::RunPartitionJob(JobRecord* rec, ThreadPool* pool,
-                                  JobOutcome* out) {
+Status Scheduler::RunPartitionJob(JobRecord* rec, JobOutcome* out) {
   const bool on_cpu = out->backend == Backend::kCpu;
   PartitionRequest req = rec->partition.request;
   req.engine = on_cpu ? Engine::kCpu : Engine::kFpgaSim;
-  req.num_threads = config_.cpu_threads_per_job;  // CPU engine only
-  req.pool = pool;
+  // A job's CPU phases run inline on its worker thread.
+  req.num_threads = 1;
+  req.pool = nullptr;
   req.cancel = &rec->cancel;
   auto run = [&] { return RunPartition<Tuple8>(req, *rec->partition.input); };
   auto result = on_cpu ? RunCpuBusy(run) : RunLeased(rec, [&] {
@@ -720,14 +706,11 @@ Status Scheduler::RunPartitionJob(JobRecord* rec, ThreadPool* pool,
   return Status::OK();
 }
 
-Status Scheduler::RunJoinJob(JobRecord* rec, ThreadPool* pool,
-                             JobOutcome* out) {
+Status Scheduler::RunJoinJob(JobRecord* rec, JobOutcome* out) {
   if (out->backend == Backend::kCpu) {
     CpuJoinConfig config;
     config.fanout = rec->join.fanout;
     config.hash = rec->join.hash;
-    config.num_threads = config_.cpu_threads_per_job;
-    config.pool = pool;
     auto result = RunCpuBusy(
         [&] { return CpuRadixJoin(config, *rec->join.r, *rec->join.s); });
     FPART_RETURN_NOT_OK(result.status());
@@ -763,10 +746,9 @@ Status Scheduler::RunJoinJob(JobRecord* rec, ThreadPool* pool,
   }
 
   const BuildProbeStats bp = RunCpuBusy([&] {
-    return ParallelBuildProbe(pr.output, ps.output,
-                              config_.cpu_threads_per_job, pool,
-                              static_cast<const Tuple8*>(nullptr),
-                              /*prefetch_distance=*/16);
+    return ParallelBuildProbe(pr.output, ps.output, /*num_threads=*/1,
+                              /*pool=*/nullptr,
+                              static_cast<const Tuple8*>(nullptr));
   });
   out->matches = bp.matches;
   out->checksum = bp.checksum;

@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "common/topology.h"
 #include "fpga/config.h"
 #include "svc/admission.h"
 #include "svc/clock.h"
@@ -79,9 +79,6 @@ struct SchedulerConfig {
   /// ignores the headroom — virtual worker clocks are fixed at
   /// construction so replays stay bit-identical.
   size_t max_workers = 0;
-  /// CPU threads a single job's partition/build+probe phases may use
-  /// (1 = run inline on the worker; >1 = per-worker pool).
-  size_t cpu_threads_per_job = 1;
   /// Simulated FPGA devices in the pool (0 is clamped to 1). Device jobs
   /// take exactly one lease; grants go to the least-backlogged free
   /// device.
@@ -111,8 +108,7 @@ struct SchedulerConfig {
   /// Construct with the dispatcher held; jobs queue until Resume(). Lets
   /// tests stage admission-control and cancellation scenarios.
   bool start_paused = false;
-  /// Worker-thread pinning policy: applied to the `num_workers` job
-  /// workers and inherited by the per-worker pools. Defaults to the
+  /// Worker-thread pinning policy of the job workers. Defaults to the
   /// process-wide FPART_AFFINITY knob. Placement and virtual-time replay
   /// are unaffected by pinning, so the determinism hash is too.
   AffinityPolicy affinity = AffinityPolicyFromEnv();
@@ -231,9 +227,9 @@ class Scheduler {
   /// (SloError) and completed; it must not be handed to a worker.
   bool PlaceJob(const std::shared_ptr<JobRecord>& rec);
   /// Run the job on its placed backend and complete the record.
-  void ExecuteJob(const std::shared_ptr<JobRecord>& rec, size_t worker);
-  Status RunPartitionJob(JobRecord* rec, ThreadPool* pool, JobOutcome* out);
-  Status RunJoinJob(JobRecord* rec, ThreadPool* pool, JobOutcome* out);
+  void ExecuteJob(const std::shared_ptr<JobRecord>& rec);
+  Status RunPartitionJob(JobRecord* rec, JobOutcome* out);
+  Status RunJoinJob(JobRecord* rec, JobOutcome* out);
   /// Run `fn` as CPU-busy work (svc.backend.cpu.busy_us; it also marks
   /// concurrent live device runs interfered).
   template <typename Fn>
@@ -277,8 +273,6 @@ class Scheduler {
   std::vector<std::thread> workers_;
   /// Pin plan of the job workers under config_.affinity (index = worker).
   std::vector<Topology::Pin> worker_pins_;
-  /// Per-worker pools when cpu_threads_per_job > 1 (index = worker).
-  std::vector<std::unique_ptr<ThreadPool>> worker_pools_;
 };
 
 }  // namespace fpart::svc

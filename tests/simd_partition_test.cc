@@ -1,8 +1,8 @@
 // End-to-end parity of the fused SIMD partitioning path: CpuPartition with
 // use_simd on must produce byte-identical PartitionedOutput (including the
 // dummy padding of each partition's last cache line) to the PR-1 scalar
-// path, across fanouts, tuple widths, thread counts, both scatter codes
-// (Code 1 direct / Code 2 buffered), and prefetch distances.
+// path, across fanouts, tuple widths, thread counts and both scatter codes
+// (Code 1 direct / Code 2 buffered).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -109,22 +109,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.threads) +
              (info.param.use_buffers ? "_buf" : "_direct");
     });
-
-TEST(SimdPartitionTest, PrefetchDistanceDoesNotChangeOutput) {
-  auto rel = MakeRelation<Tuple8>(60000, 91);
-  CpuPartitionerConfig config;
-  config.fanout = 512;
-  config.num_threads = 2;
-  Result<CpuRunResult<Tuple8>> reference =
-      CpuPartition(config, rel.data(), rel.size());
-  ASSERT_TRUE(reference.ok());
-  for (uint32_t dist : {0u, 1u, 4u, 64u, 1000u}) {
-    config.prefetch_distance = dist;
-    auto run = CpuPartition(config, rel.data(), rel.size());
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    ExpectIdenticalOutput(*reference, *run);
-  }
-}
 
 TEST(SimdPartitionTest, RangePartitioningWithSimdEnabled) {
   // kRange has no vector kernel; use_simd must still give correct output

@@ -28,6 +28,7 @@ namespace {
 
 using stream::HotspotConfig;
 using stream::HotspotDetector;
+using stream::kMaxActionsPerTick;
 using stream::ReadResult;
 using stream::RebalanceAction;
 using stream::RepartitionConfig;
@@ -422,6 +423,45 @@ TEST(HotspotDetectorTest, ColdBuddiesMergeAndRespectMinDepth) {
   auto shallow = FlatStats(4, 4, 2);
   shallow[3].tuples = 1 << 20;
   for (const auto& act : det2.Tick(shallow)) EXPECT_TRUE(act.split);
+}
+
+TEST(HotspotDetectorTest, PerTickCapTakesHottestSplitsBeforeMerges) {
+  HotspotConfig cfg;
+  cfg.hysteresis_ticks = 1;
+  // 16 depth-4 buckets of 4 tuples; the listed patterns are ~2^20 each,
+  // hotter with rising pattern. Both layouts also hold cold buddy pairs.
+  auto layout = [](const std::vector<uint64_t>& hot) {
+    auto stats = FlatStats(16, 4, 4);
+    for (uint64_t p : hot) stats[p].tuples = (uint64_t{1} << 20) + p * 1024;
+    return stats;
+  };
+
+  // Six hot buckets: the cap admits only the hottest splits, hottest
+  // first, and leaves no room for the cold pairs' merges.
+  HotspotDetector det(cfg);
+  const auto six = det.Tick(layout({0, 1, 2, 3, 4, 5}));
+  ASSERT_EQ(six.size(), kMaxActionsPerTick);
+  for (size_t i = 0; i < six.size(); ++i) {
+    EXPECT_TRUE(six[i].split) << i;
+    EXPECT_EQ(six[i].pattern, 5 - i) << i;
+  }
+  EXPECT_EQ(det.split_decisions(), kMaxActionsPerTick);
+  EXPECT_EQ(det.merge_decisions(), 0u);
+
+  // Two hot buckets: both splits come first, then the cold pairs (all of
+  // equal size, so by parent pattern 2, 3, ...) fill the rest of the cap.
+  HotspotDetector det2(cfg);
+  const auto two = det2.Tick(layout({0, 1}));
+  ASSERT_EQ(two.size(), kMaxActionsPerTick);
+  EXPECT_TRUE(two[0].split);
+  EXPECT_EQ(two[0].pattern, 1u);
+  EXPECT_TRUE(two[1].split);
+  EXPECT_EQ(two[1].pattern, 0u);
+  for (size_t i = 2; i < two.size(); ++i) {
+    EXPECT_FALSE(two[i].split) << i;
+    EXPECT_EQ(two[i].pattern, i) << i;
+    EXPECT_EQ(two[i].depth, 4u) << i;
+  }
 }
 
 // -- Deterministic replay --------------------------------------------------

@@ -102,9 +102,9 @@ TEST(AdmissionControllerTest, CorrectionIsClampedToConfiguredBand) {
   cfg.ewma_alpha = 1.0;  // jump straight to the sample
   AdmissionController adm(cfg);
   adm.ObserveRun(Backend::kCpu, 1.0, 1.0, 1.0, 100.0, true);
-  EXPECT_DOUBLE_EQ(adm.correction(Backend::kCpu, 0), cfg.correction_cap);
+  EXPECT_DOUBLE_EQ(adm.correction(Backend::kCpu, 0), kCorrectionCap);
   adm.ObserveRun(Backend::kCpu, 1.0, 1.0, 1.0, 1e-6, true);
-  EXPECT_DOUBLE_EQ(adm.correction(Backend::kCpu, 0), cfg.correction_floor);
+  EXPECT_DOUBLE_EQ(adm.correction(Backend::kCpu, 0), kCorrectionFloor);
 }
 
 TEST(AdmissionControllerTest, DisabledControllerNeverLearns) {
@@ -278,7 +278,7 @@ TEST(AdmissionControllerTest, LowPressureRecommendsShrinkByOne) {
   cfg.class_slo_seconds = {0.5, 0.0, 0.0};
   AdmissionController adm(cfg);
   const auto p = adm.UpdatePressure(0.1, 0.0, 4, 8, 1);
-  EXPECT_LT(p.value, cfg.pressure_low);
+  EXPECT_LT(p.value, kPressureLow);
   EXPECT_EQ(p.worker_delta, -1);
 }
 
@@ -289,6 +289,25 @@ TEST(AdmissionControllerTest, HysteresisBandRecommendsNothing) {
   // pressure = 1.5 / (2 x 1.0) = 0.75: between low (0.5) and high (1.0).
   const auto p = adm.UpdatePressure(1.5, 0.0, 2, 8, 1);
   EXPECT_EQ(p.worker_delta, 0);
+}
+
+TEST(AdmissionControllerTest, PressureExactlyAtABandEdgeRecommendsNothing) {
+  // Both comparisons are strict: a pressure equal to kPressureHigh does not
+  // grow, one equal to kPressureLow does not shrink, on either axis.
+  SloConfig cfg = EnabledConfig();
+  cfg.class_slo_seconds = {1.0, 0.0, 0.0};  // reference 1 s
+  AdmissionController adm(cfg);
+  // cpu = 4.0 / (4 workers x 1 s), device = 2.0 / (2 devices x 1 s).
+  const auto high = adm.UpdatePressure(4.0 * kPressureHigh,
+                                       2.0 * kPressureHigh, 4, 8, 2);
+  EXPECT_DOUBLE_EQ(high.value, kPressureHigh);
+  EXPECT_EQ(high.worker_delta, 0);
+  EXPECT_EQ(high.device_delta, 0);
+  const auto low = adm.UpdatePressure(4.0 * kPressureLow, 2.0 * kPressureLow,
+                                      4, 8, 2);
+  EXPECT_DOUBLE_EQ(low.value, kPressureLow);
+  EXPECT_EQ(low.worker_delta, 0);
+  EXPECT_EQ(low.device_delta, 0);
 }
 
 TEST(AdmissionControllerTest, DevicePressureUsesTheDeviceAxis) {

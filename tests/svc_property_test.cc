@@ -417,8 +417,7 @@ TEST(AdmissionPropertyTest, EwmaConvergesUnderRandomMiscalibration) {
                      model * adm.correction(backend, SizeClassOf(demand)),
                      k * model, /*learn=*/true);
     }
-    const double expect =
-        std::clamp(k, cfg.correction_floor, cfg.correction_cap);
+    const double expect = std::clamp(k, kCorrectionFloor, kCorrectionCap);
     EXPECT_NEAR(adm.correction(backend, SizeClassOf(demand)), expect, 0.02)
         << "trial " << trial << " k=" << k << " alpha=" << cfg.ewma_alpha;
   }

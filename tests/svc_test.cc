@@ -39,7 +39,6 @@ TEST(PlacementTest, FpgaWinsWithEmptyQueues) {
   PlacementInput in;
   in.kind = JobKind::kPartition;
   in.n_tuples = 1 << 22;
-  in.cpu_threads = 1;
   PlacementDecision d = DecidePlacement(in);
   EXPECT_EQ(d.backend, Backend::kFpga);
   EXPECT_LT(d.est_fpga_seconds, d.est_cpu_seconds);
@@ -50,7 +49,6 @@ TEST(PlacementTest, BacklogExceedingCpuEstimateFallsBackToCpu) {
   PlacementInput in;
   in.kind = JobKind::kPartition;
   in.n_tuples = 1 << 20;
-  in.cpu_threads = 1;
   PlacementDecision base = DecidePlacement(in);
   ASSERT_EQ(base.backend, Backend::kFpga);
   // Pile enough queued device work onto the arbiter that waiting it out
@@ -65,7 +63,6 @@ TEST(PlacementTest, TieWithinEpsilonPrefersFpga) {
   PlacementInput in;
   in.kind = JobKind::kPartition;
   in.n_tuples = 1 << 20;
-  in.cpu_threads = 1;
   PlacementDecision base = DecidePlacement(in);
   // Backlog tuned so the device path is nominally slower, but within the
   // tie epsilon: the device still wins because it frees the host cores.
@@ -83,7 +80,6 @@ TEST(PlacementTest, JoinChoosesHybridOrCpuNeverPlainFpga) {
   in.kind = JobKind::kJoin;
   in.r_tuples = 1 << 20;
   in.s_tuples = 1 << 20;
-  in.cpu_threads = 1;
   PlacementDecision fast = DecidePlacement(in);
   EXPECT_EQ(fast.backend, Backend::kHybrid);
   EXPECT_LT(fast.device_seconds, fast.est_fpga_seconds)
@@ -97,7 +93,6 @@ TEST(PlacementTest, IsPureAndDeterministic) {
   PlacementInput in;
   in.kind = JobKind::kPartition;
   in.n_tuples = 123456;
-  in.cpu_threads = 3;
   in.fpga_backlog_seconds = 0.001;
   in.cpu_backlog_seconds = 0.0005;
   PlacementDecision a = DecidePlacement(in);
@@ -113,7 +108,6 @@ TEST(PlacementTest, TieEpsilonEdgeIsInclusive) {
   PlacementInput in;
   in.kind = JobKind::kPartition;
   in.n_tuples = 1 << 20;
-  in.cpu_threads = 1;
   PlacementDecision base = DecidePlacement(in);
   ASSERT_EQ(base.backend, Backend::kFpga);
   const double gap = base.est_cpu_seconds - base.est_fpga_seconds;
@@ -156,7 +150,6 @@ TEST(PlacementTest, SaturatedPoolSpillsToCpuUntilADeviceFrees) {
   PlacementInput in;
   in.kind = JobKind::kPartition;
   in.n_tuples = 1 << 20;
-  in.cpu_threads = 1;
   PlacementDecision base = DecidePlacement(in);
   ASSERT_EQ(base.backend, Backend::kFpga);
   // Every device clock saturated past the CPU estimate: the pool minimum
