@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/thread_pool.h"
 #include "cpu/partitioner.h"
 #include "datagen/workloads.h"
 #include "model/cpu_model.h"
@@ -61,11 +62,13 @@ int JsonMain(size_t n) {
   for (size_t t : {size_t{1}, size_t{2}, size_t{4}, size_t{8}, size_t{10}}) {
     if (t > host_max) continue;
     for (const AffinityPolicy policy : {AffinityPolicy::kNone, on}) {
+      // One pool per row, built outside the timed runs (as fig11 does).
+      ThreadPool pool(t, "fpart-wkr", policy);
       CpuPartitionerConfig config;
       config.fanout = fanout;
       config.hash = HashMethod::kRadix;
       config.num_threads = t;
-      config.affinity = policy;
+      config.pool = &pool;
       // Best-of-3 to filter scheduler noise; hw deltas accumulate over
       // every run of the row (misses per tuple stay comparable because
       // each row runs the same tuple count).

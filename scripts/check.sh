@@ -7,9 +7,10 @@
 #
 # The tsan suite builds with ThreadSanitizer and runs the concurrency-
 # heavy binaries (svc_test, svc_property_test, svc_admission_test,
-# cluster_test, stream_test, common_test, obs_test, sim_cache_test's
-# concurrent sim-cache races, plus ext_service, ext_cluster and ext_stream
-# smoke replays) directly — the full ctest matrix is too slow under TSan
+# cluster_test, stream_test, common_test, obs_test, parallel_test's
+# threads x pool matrix over every parallel partition/join/group-by entry
+# point, sim_cache_test's concurrent sim-cache races, plus ext_service,
+# ext_cluster and ext_stream smoke replays) directly — the full ctest matrix is too slow under TSan
 # to be a useful gate.
 #
 # Each run_suite pass also re-runs the `svc_admission` ctest label on its
@@ -57,10 +58,10 @@ run_tsan_suite() {
     -DFPART_BUILD_EXAMPLES=OFF >&2
   cmake --build "$build_dir" -j "$jobs" \
     --target svc_test svc_property_test svc_admission_test cluster_test \
-    stream_test common_test obs_test sim_cache_test ext_service \
-    ext_cluster ext_stream >&2
+    stream_test common_test obs_test parallel_test sim_cache_test \
+    ext_service ext_cluster ext_stream >&2
   for bin in svc_test svc_property_test svc_admission_test cluster_test \
-             stream_test common_test obs_test; do
+             stream_test common_test obs_test parallel_test; do
     echo "=== tsan $bin ===" >&2
     FPART_SCALE=0.0625 "$build_dir/tests/$bin"
   done

@@ -1,12 +1,14 @@
-// A small fixed-size thread pool used by the parallel CPU partitioner,
-// the parallel build+probe phase of the radix join, and the svc runtime's
-// backend executors.
+// A small fixed-size thread pool, and ShardRunner: the one way a CPU phase
+// (partitioner histogram/scatter, join build+probe, sort-merge sorts,
+// group-by aggregation) fans out over it. The svc runtime's backend
+// executors run on pools of their own.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -76,18 +78,6 @@ class ThreadPool {
   /// Worker exceptions propagate to the caller, as with WaitIdle().
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// \brief Node-partitioned ParallelFor: split [0, total) into
-  /// num_threads() contiguous even chunks, hand the chunks out node-major,
-  /// and let each executing worker claim a chunk tagged with its own NUMA
-  /// node first (falling back to stealing any unclaimed chunk, so the
-  /// range is always covered exactly once even when the scheduler lands
-  /// tasks unevenly). `fn(chunk, begin, end)` — chunk ids are the
-  /// node-major chunk indices, not thread ids. On a single-node host this
-  /// degenerates to a plain even split.
-  void ParallelForNodeChunks(
-      size_t total,
-      const std::function<void(size_t chunk, size_t begin, size_t end)>& fn);
-
  private:
   void WorkerLoop(size_t index);
 
@@ -105,6 +95,54 @@ class ThreadPool {
   bool shutdown_ = false;
   /// First exception thrown by a task since the last WaitIdle().
   std::exception_ptr first_error_;
+};
+
+/// \brief The one way a CPU phase fans out: shard t of n runs fn(t).
+///
+/// Build it once per call, before any timer starts. It holds the caller's
+/// pool, or — when that is null and the call wants more than one thread —
+/// one pool built for the call and torn down with the runner. A single
+/// shard runs inline on the caller with no pool and no std::function, so
+/// a one-thread call costs what a direct call would (the paper's
+/// single-threaded measurements pay no hand-off either).
+class ShardRunner {
+ public:
+  /// \param pool         caller's pool; may be null.
+  /// \param num_threads  shard count of the call's phases (0 means 1).
+  ShardRunner(ThreadPool* pool, size_t num_threads);
+
+  FPART_DISALLOW_COPY_AND_ASSIGN(ShardRunner);
+
+  /// Shards per phase: the call's thread count, at least 1.
+  size_t threads() const { return threads_; }
+
+  /// The pool shards run on; null when the call runs on one thread and
+  /// the caller passed none. Pass it down so nested calls share it.
+  ThreadPool* pool() const { return pool_; }
+
+  /// Run fn(t) for every t in [0, n) exactly once and wait. Inline when
+  /// n == 1 (or without a pool); exceptions propagate as from WaitIdle().
+  template <typename Fn>
+  void Run(size_t n, Fn&& fn) {
+    if (n == 1 || pool_ == nullptr) {
+      for (size_t t = 0; t < n; ++t) fn(t);
+      return;
+    }
+    pool_->ParallelFor(n, fn);
+  }
+
+  /// Split [0, total) into threads() contiguous shards and run
+  /// fn(t, begin, end) on shard t = [total·t/n, total·(t+1)/n).
+  template <typename Fn>
+  void Split(size_t total, Fn&& fn) {
+    const size_t n = threads_;
+    Run(n, [&](size_t t) { fn(t, total * t / n, total * (t + 1) / n); });
+  }
+
+ private:
+  std::unique_ptr<ThreadPool> built_pool_;
+  ThreadPool* pool_;
+  size_t threads_;
 };
 
 }  // namespace fpart

@@ -57,9 +57,6 @@ struct PartitionRequest {
   size_t num_threads = 1;
   bool use_buffers = true;
   bool non_temporal = true;
-  /// CPU only: shared worker pool (a private one is created when null and
-  /// num_threads > 1).
-  ThreadPool* pool = nullptr;
   /// Cooperative cancellation token, plumbed into whichever backend runs
   /// the request (svc jobs point this at their per-job flag). Checked at
   /// phase/pass boundaries; a cancelled run returns Status::Cancelled.
@@ -98,7 +95,6 @@ Result<PartitionReport<T>> RunPartition(const PartitionRequest& request,
     config.num_threads = request.num_threads;
     config.use_buffers = request.use_buffers;
     config.non_temporal = request.non_temporal;
-    config.pool = request.pool;
     config.cancel = request.cancel;
     FPART_ASSIGN_OR_RETURN(
         CpuRunResult<T> r,

@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/aligned_buffer.h"
@@ -21,7 +21,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "common/topology.h"
 #include "datagen/partitioned_output.h"
 #include "datagen/tuple.h"
 #include "hash/hash_function.h"
@@ -42,9 +41,6 @@ struct CpuPartitionerConfig {
   uint32_t fanout = 8192;
   /// Radix bits (cheap) or murmur hashing (robust), Section 3.2.
   HashMethod hash = HashMethod::kRadix;
-  /// Low (hashed-)key bits skipped before slicing the partition index;
-  /// used by the multi-pass partitioner (pass 1 works on the high bits).
-  int shift = 0;
   /// kRange only: fanout-1 sorted splitters (see EquiDepthSplitters).
   std::vector<uint64_t> range_splitters;
   size_t num_threads = 1;
@@ -59,12 +55,9 @@ struct CpuPartitionerConfig {
   /// is hashed twice.
   /// Opt-out knob so the ablation benches can chart the PR-1 scalar path.
   bool use_simd = true;
-  /// Optional shared pool; a private one is created per call when null.
+  /// Shared worker pool. When null and num_threads > 1, the call's
+  /// ShardRunner builds one pool for the call (pinned per FPART_AFFINITY).
   ThreadPool* pool = nullptr;
-  /// Worker pinning policy for the private pool (ignored when `pool` is
-  /// set — a shared pool was built with its own policy). Defaults to the
-  /// process-wide FPART_AFFINITY knob.
-  AffinityPolicy affinity = AffinityPolicyFromEnv();
   /// Cooperative cancellation token (svc job cancellation). Checked at
   /// phase boundaries only — never inside the per-tuple loops — so a
   /// running phase always completes before the run aborts with
@@ -414,18 +407,9 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
   const PartitionFn fn =
       config.hash == HashMethod::kRange
           ? PartitionFn::Range(config.range_splitters)
-          : PartitionFn(config.hash, config.fanout, config.shift);
-  const size_t num_threads = std::max<size_t>(1, config.num_threads);
-
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = config.pool;
-  if (pool == nullptr && num_threads > 1) {
-    own_pool =
-        std::make_unique<ThreadPool>(num_threads, "fpart-wkr", config.affinity);
-    pool = own_pool.get();
-  }
-
-  auto chunk_begin = [&](size_t t) { return n * t / num_threads; };
+          : PartitionFn(config.hash, config.fanout);
+  ShardRunner runner(config.pool, config.num_threads);
+  const size_t num_threads = runner.threads();
 
   // Allocation is outside the timed region (pre-allocated outputs, as in
   // the baseline implementation).
@@ -436,9 +420,9 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
   // in phase 1 and replayed in phase 2 from this scratch. Indices are
   // uint16_t up to 64Ki partitions so the scratch streams at 2 B/tuple.
   // The buffer is allocated untouched and first-touched below by the same
-  // per-thread chunks the phases use, so with pinned workers each page
-  // lands on the NUMA node of the worker that will write and read it —
-  // and the page faults stay out of the timed region either way.
+  // shards the phases use, which keeps the page faults out of the timed
+  // region. A shard is not bound to a worker, so on a pinned pool a page
+  // lands on the node of whichever worker ran the shard's first touch.
   const bool fused = config.use_simd && n > 0;
   const bool narrow_idx = config.fanout <= (uint32_t{1} << 16);
   const size_t idx_elem = narrow_idx ? sizeof(uint16_t) : sizeof(uint32_t);
@@ -455,23 +439,16 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
     } else {
       idx32 = idx_buf.mutable_data_as<uint32_t>();
     }
-    auto touch_chunk = [&](size_t t) {
-      const size_t begin = chunk_begin(t), end = chunk_begin(t + 1);
+    runner.Split(n, [&](size_t, size_t begin, size_t end) {
       std::memset(idx_buf.data() + begin * idx_elem, 0,
                   (end - begin) * idx_elem);
-    };
-    if (num_threads == 1) {
-      touch_chunk(0);
-    } else {
-      pool->ParallelFor(num_threads, touch_chunk);
-    }
+    });
   }
 
   Timer timer;
   // --- Phase 1: histograms (fused path also records partition indices).
-  auto histogram_chunk = [&](size_t t) {
+  auto histogram_chunk = [&](size_t t, size_t begin, size_t end) {
     obs::HwPhaseScope hw("histogram");
-    const size_t begin = chunk_begin(t), end = chunk_begin(t + 1);
     if (!fused) {
       BuildHistogram(fn, tuples, begin, end, hist[t].data());
     } else if (narrow_idx) {
@@ -483,11 +460,7 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
   double hist_seconds;
   {
     obs::TraceSpan span("cpu.partition.histogram", "cpu");
-    if (num_threads == 1) {
-      histogram_chunk(0);
-    } else {
-      pool->ParallelFor(num_threads, histogram_chunk);
-    }
+    runner.Split(n, histogram_chunk);
     hist_seconds = timer.Seconds();
   }
   if (cancelled()) {
@@ -519,9 +492,8 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
 
   // --- Phase 2: synchronization-free scatter.
   Timer scatter_timer;
-  auto scatter_chunk = [&](size_t t) {
+  auto scatter_chunk = [&](size_t t, size_t begin, size_t end) {
     obs::HwPhaseScope hw("scatter");
-    const size_t begin = chunk_begin(t), end = chunk_begin(t + 1);
     if (!fused) {
       Scatter(fn, tuples, begin, end, cursor[t].data(), out_base, config);
     } else if (narrow_idx) {
@@ -535,11 +507,7 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
   double scatter_seconds;
   {
     obs::TraceSpan span("cpu.partition.scatter", "cpu");
-    if (num_threads == 1) {
-      scatter_chunk(0);
-    } else {
-      pool->ParallelFor(num_threads, scatter_chunk);
-    }
+    runner.Split(n, scatter_chunk);
     scatter_seconds = scatter_timer.Seconds();
   }
   double seconds = hist_seconds + scatter_seconds;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/thread_pool.h"
+
 namespace fpart {
 
 Result<GroupByOutput> PartitionedGroupBy(const GroupByConfig& config,
@@ -23,32 +25,18 @@ Result<GroupByOutput> PartitionedGroupBy(const GroupByConfig& config,
   if (!attempt.ok()) return attempt.status();
   PartitionReport<Tuple8> partitioned = std::move(*attempt);
 
-  const size_t num_threads = std::max<size_t>(1, config.num_threads);
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = config.pool;
-  if (pool == nullptr && num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(num_threads);
-    pool = own_pool.get();
-  }
-
-  const size_t num_parts = partitioned.output.num_partitions();
-  std::vector<std::vector<GroupResult>> per_thread(num_threads);
+  ShardRunner runner(nullptr, config.num_threads);
+  std::vector<std::vector<GroupResult>> per_thread(runner.threads());
 
   Timer agg_timer;
-  auto worker = [&](size_t t) {
-    size_t begin = num_parts * t / num_threads;
-    size_t end = num_parts * (t + 1) / num_threads;
-    for (size_t p = begin; p < end; ++p) {
-      internal::AggregatePartition(partitioned.output.partition_data(p),
-                                   partitioned.output.partition_slots(p),
-                                   &per_thread[t]);
-    }
-  };
-  if (pool) {
-    pool->ParallelFor(num_threads, worker);
-  } else {
-    worker(0);
-  }
+  runner.Split(partitioned.output.num_partitions(),
+               [&](size_t t, size_t begin, size_t end) {
+                 for (size_t p = begin; p < end; ++p) {
+                   internal::AggregatePartition(
+                       partitioned.output.partition_data(p),
+                       partitioned.output.partition_slots(p), &per_thread[t]);
+                 }
+               });
   double aggregate_seconds = agg_timer.Seconds();
   if (config.engine == Engine::kFpgaSim && config.coherence_penalty) {
     // The aggregation scans FPGA-written partitions sequentially.

@@ -10,12 +10,10 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/engine.h"
 #include "datagen/relation.h"
@@ -49,9 +47,6 @@ struct GroupByConfig {
   /// Apply the Table 1 snoop penalty to the aggregation phase after FPGA
   /// partitioning (sequential scan of FPGA-written partitions).
   bool coherence_penalty = true;
-  /// Shared worker pool; when null and num_threads > 1 the call constructs
-  /// its own.
-  ThreadPool* pool = nullptr;
 };
 
 /// \brief Result of a group-by execution.

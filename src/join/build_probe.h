@@ -76,23 +76,24 @@ void ProbePartitionTable(const BucketChainTable<T>& table, const T* r_data,
 ///
 /// Partitions are distributed across threads in contiguous ranges; each
 /// pair is processed build-then-probe so the table stays cache resident.
+/// Every partition is covered at any thread count; without a pool and with
+/// num_threads > 1 the call builds one pool for itself.
 template <typename RPart, typename SPart, typename T>
 BuildProbeStats ParallelBuildProbe(const RPart& r, const SPart& s,
                                    size_t num_threads, ThreadPool* pool,
                                    const T* /*tag*/,
                                    uint32_t prefetch_distance =
                                        kDefaultProbePrefetchDistance) {
-  const size_t num_parts = r.num_partitions();
+  ShardRunner runner(pool, num_threads);
+  num_threads = runner.threads();
   BuildProbeStats stats;
   std::vector<uint64_t> matches(num_threads, 0);
   std::vector<uint64_t> checksums(num_threads, 0);
   std::vector<double> build_secs(num_threads, 0.0);
   std::vector<double> probe_secs(num_threads, 0.0);
 
-  auto worker = [&](size_t t) {
+  auto worker = [&](size_t t, size_t begin, size_t end) {
     BucketChainTable<T> table;
-    size_t begin = num_parts * t / num_threads;
-    size_t end = num_parts * (t + 1) / num_threads;
     for (size_t p = begin; p < end; ++p) {
       const T* r_data = r.partition_data(p);
       const T* s_data = s.partition_data(p);
@@ -118,11 +119,7 @@ BuildProbeStats ParallelBuildProbe(const RPart& r, const SPart& s,
   };
 
   Timer wall;
-  if (num_threads <= 1 || pool == nullptr) {
-    worker(0);
-  } else {
-    pool->ParallelFor(num_threads, worker);
-  }
+  runner.Split(r.num_partitions(), worker);
   stats.wall_seconds = wall.Seconds();
   for (size_t t = 0; t < num_threads; ++t) {
     stats.matches += matches[t];
@@ -144,14 +141,13 @@ template <typename RPart, typename T>
 std::vector<BucketChainTable<T>> ParallelBuildTables(
     const RPart& r, size_t num_threads, ThreadPool* pool,
     BuildProbeStats* stats, const T* /*tag*/) {
+  ShardRunner runner(pool, num_threads);
   const size_t num_parts = r.num_partitions();
   std::vector<BucketChainTable<T>> tables(num_parts);
-  std::vector<double> build_secs(num_threads, 0.0);
+  std::vector<double> build_secs(runner.threads(), 0.0);
 
-  auto worker = [&](size_t t) {
+  auto worker = [&](size_t t, size_t begin, size_t end) {
     Timer timer;
-    size_t begin = num_parts * t / num_threads;
-    size_t end = num_parts * (t + 1) / num_threads;
     for (size_t p = begin; p < end; ++p) {
       const T* r_data = r.partition_data(p);
       size_t r_slots = r.partition_slots(p);
@@ -162,11 +158,7 @@ std::vector<BucketChainTable<T>> ParallelBuildTables(
   };
 
   Timer wall;
-  if (num_threads <= 1 || pool == nullptr) {
-    worker(0);
-  } else {
-    pool->ParallelFor(num_threads, worker);
-  }
+  runner.Split(num_parts, worker);
   stats->wall_seconds += wall.Seconds();
   for (double s : build_secs) stats->build_cpu_seconds += s;
   return tables;
@@ -178,16 +170,15 @@ void ParallelProbeTables(const RPart& r, const SPart& s,
                          const std::vector<BucketChainTable<T>>& tables,
                          size_t num_threads, ThreadPool* pool,
                          BuildProbeStats* stats) {
-  const size_t num_parts = r.num_partitions();
+  ShardRunner runner(pool, num_threads);
+  num_threads = runner.threads();
   std::vector<uint64_t> matches(num_threads, 0);
   std::vector<uint64_t> checksums(num_threads, 0);
   std::vector<double> probe_secs(num_threads, 0.0);
 
-  auto worker = [&](size_t t) {
+  auto worker = [&](size_t t, size_t begin, size_t end) {
     Timer timer;
     uint64_t m = 0, sum = 0;
-    size_t begin = num_parts * t / num_threads;
-    size_t end = num_parts * (t + 1) / num_threads;
     for (size_t p = begin; p < end; ++p) {
       const T* r_data = r.partition_data(p);
       const T* s_data = s.partition_data(p);
@@ -205,11 +196,7 @@ void ParallelProbeTables(const RPart& r, const SPart& s,
   };
 
   Timer wall;
-  if (num_threads <= 1 || pool == nullptr) {
-    worker(0);
-  } else {
-    pool->ParallelFor(num_threads, worker);
-  }
+  runner.Split(r.num_partitions(), worker);
   stats->wall_seconds += wall.Seconds();
   for (size_t t = 0; t < num_threads; ++t) {
     stats->matches += matches[t];

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -36,8 +35,9 @@ struct HybridJoinConfig {
   /// Xeon+FPGA prototype, off for an idealized future platform).
   bool coherence_penalty = true;
   /// Shared worker pool for the build+probe phase. When null and
-  /// num_threads > 1, the call constructs (and tears down) its own pool —
-  /// benchmark loops should pass one pool and reuse it across calls.
+  /// num_threads > 1, the call builds (and tears down) one pool for both
+  /// build+probe phases — benchmark loops should pass one pool and reuse it
+  /// across calls.
   ThreadPool* pool = nullptr;
   /// Overlap S's (simulated) partitioning with the CPU build over R's
   /// partitions: on the real system the FPGA streams S while the CPU is
@@ -74,12 +74,9 @@ Result<FpgaRunResult<T>> HybridPartition(const FpgaPartitionerConfig& config,
 template <typename T>
 Result<JoinResult> HybridJoin(const HybridJoinConfig& config,
                               const Relation<T>& r, const Relation<T>& s) {
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = config.pool;
-  if (pool == nullptr && config.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(config.num_threads);
-    pool = own_pool.get();
-  }
+  ShardRunner runner(config.pool, config.num_threads);
+  ThreadPool* pool = runner.pool();
+  const size_t num_threads = runner.threads();
 
   FpgaRunResult<T> pr, ps;
   BuildProbeStats bp;
@@ -98,12 +95,12 @@ Result<JoinResult> HybridJoin(const HybridJoinConfig& config,
     });
     {
       obs::TraceSpan span("hybrid.build_probe", "join");
-      auto tables = ParallelBuildTables(pr.output, config.num_threads, pool,
-                                        &bp, static_cast<const T*>(nullptr));
+      auto tables = ParallelBuildTables(pr.output, num_threads, pool, &bp,
+                                        static_cast<const T*>(nullptr));
       s_sim.join();
       FPART_ASSIGN_OR_RETURN(ps, std::move(s_run));
-      ParallelProbeTables(pr.output, ps.output, tables, config.num_threads,
-                          pool, &bp);
+      ParallelProbeTables(pr.output, ps.output, tables, num_threads, pool,
+                          &bp);
     }
   } else {
     {
@@ -115,7 +112,7 @@ Result<JoinResult> HybridJoin(const HybridJoinConfig& config,
       FPART_ASSIGN_OR_RETURN(ps, internal::HybridPartition(config.fpga, s));
     }
     obs::TraceSpan span("hybrid.build_probe", "join");
-    bp = ParallelBuildProbe(pr.output, ps.output, config.num_threads, pool,
+    bp = ParallelBuildProbe(pr.output, ps.output, num_threads, pool,
                             static_cast<const T*>(nullptr));
   }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -44,25 +43,14 @@ struct MaterializedJoin {
 /// and the buffers are concatenated in partition order afterwards.
 template <typename RPart, typename SPart, typename T>
 MaterializedJoin MaterializeJoin(const RPart& r, const SPart& s,
-                                 size_t num_threads, const T* /*tag*/,
-                                 ThreadPool* shared_pool = nullptr) {
-  num_threads = num_threads == 0 ? 1 : num_threads;
-  const size_t num_parts = r.num_partitions();
-  std::vector<std::vector<JoinedRow>> per_thread(num_threads);
-
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = shared_pool;
-  if (pool == nullptr && num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(num_threads);
-    pool = own_pool.get();
-  }
+                                 size_t num_threads, const T* /*tag*/) {
+  ShardRunner runner(nullptr, num_threads);
+  std::vector<std::vector<JoinedRow>> per_thread(runner.threads());
 
   Timer timer;
-  auto worker = [&](size_t t) {
+  runner.Split(r.num_partitions(), [&](size_t t, size_t begin, size_t end) {
     BucketChainTable<T> table;
     std::vector<JoinedRow>& out = per_thread[t];
-    size_t begin = num_parts * t / num_threads;
-    size_t end = num_parts * (t + 1) / num_threads;
     for (size_t p = begin; p < end; ++p) {
       const T* r_data = r.partition_data(p);
       const T* s_data = s.partition_data(p);
@@ -83,12 +71,7 @@ MaterializedJoin MaterializeJoin(const RPart& r, const SPart& s,
         });
       }
     }
-  };
-  if (pool) {
-    pool->ParallelFor(num_threads, worker);
-  } else {
-    worker(0);
-  }
+  });
 
   MaterializedJoin result;
   size_t total = 0;

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -21,12 +20,15 @@ namespace fpart {
 
 /// Execute R ⋈ S with one shared chained hash table: parallel lock-free
 /// build (CAS on bucket heads), parallel probe. No partitioning pass, but
-/// every probe is a cache/TLB miss on large relations.
+/// every probe is a cache/TLB miss on large relations. `shared_pool` runs
+/// both phases; when null and num_threads > 1 the call builds one pool for
+/// itself.
 template <typename T>
 Result<JoinResult> NoPartitionJoin(size_t num_threads, const Relation<T>& r,
                                    const Relation<T>& s,
                                    ThreadPool* shared_pool = nullptr) {
-  num_threads = std::max<size_t>(1, num_threads);
+  ShardRunner runner(shared_pool, num_threads);
+  num_threads = runner.threads();
   size_t num_buckets = 16;
   while (num_buckets < r.size()) num_buckets <<= 1;
   const uint32_t mask = static_cast<uint32_t>(num_buckets - 1);
@@ -43,20 +45,11 @@ Result<JoinResult> NoPartitionJoin(size_t num_threads, const Relation<T>& r,
     }
   };
 
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = shared_pool;
-  if (pool == nullptr && num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(num_threads);
-    pool = own_pool.get();
-  }
-
   const T* r_data = r.data();
   const T* s_data = s.data();
 
   Timer build_timer;
-  auto build_worker = [&](size_t t) {
-    size_t begin = r.size() * t / num_threads;
-    size_t end = r.size() * (t + 1) / num_threads;
+  runner.Split(r.size(), [&](size_t, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       uint32_t b = bucket_of(r_data[i].key);
       int64_t head = buckets[b].load(std::memory_order_relaxed);
@@ -66,19 +59,12 @@ Result<JoinResult> NoPartitionJoin(size_t num_threads, const Relation<T>& r,
           head, static_cast<int64_t>(i), std::memory_order_release,
           std::memory_order_relaxed));
     }
-  };
-  if (pool) {
-    pool->ParallelFor(num_threads, build_worker);
-  } else {
-    build_worker(0);
-  }
+  });
   double build_seconds = build_timer.Seconds();
 
   Timer probe_timer;
   std::vector<uint64_t> matches(num_threads, 0), sums(num_threads, 0);
-  auto probe_worker = [&](size_t t) {
-    size_t begin = s.size() * t / num_threads;
-    size_t end = s.size() * (t + 1) / num_threads;
+  runner.Split(s.size(), [&](size_t t, size_t begin, size_t end) {
     uint64_t m = 0, sum = 0;
     for (size_t j = begin; j < end; ++j) {
       // The global table guarantees a miss per probe; keep a window of
@@ -98,12 +84,7 @@ Result<JoinResult> NoPartitionJoin(size_t num_threads, const Relation<T>& r,
     }
     matches[t] = m;
     sums[t] = sum;
-  };
-  if (pool) {
-    pool->ParallelFor(num_threads, probe_worker);
-  } else {
-    probe_worker(0);
-  }
+  });
 
   JoinResult result;
   result.partition_seconds = 0.0;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -26,8 +25,9 @@ struct CpuJoinConfig {
   bool non_temporal = true;
   /// Fused single-hash SIMD partitioning path (see CpuPartitionerConfig).
   bool use_simd = true;
-  /// Shared worker pool; when null and num_threads > 1 the call constructs
-  /// its own (benchmark loops should pass one and reuse it).
+  /// Shared worker pool. When null and num_threads > 1 the call builds one
+  /// pool and shares it between the partition and build+probe phases
+  /// (benchmark loops should pass one and reuse it).
   ThreadPool* pool = nullptr;
 };
 
@@ -56,14 +56,8 @@ Result<JoinResult> CpuRadixJoin(const CpuJoinConfig& config,
   pc.use_buffers = config.use_buffers;
   pc.non_temporal = config.non_temporal;
   pc.use_simd = config.use_simd;
-
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = config.pool;
-  if (pool == nullptr && config.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(config.num_threads);
-    pool = own_pool.get();
-  }
-  pc.pool = pool;
+  ShardRunner runner(config.pool, config.num_threads);
+  pc.pool = runner.pool();
 
   CpuRunResult<T> pr, ps;
   {
@@ -78,8 +72,8 @@ Result<JoinResult> CpuRadixJoin(const CpuJoinConfig& config,
   BuildProbeStats bp;
   {
     obs::TraceSpan span("join.radix.build_probe", "join");
-    bp = ParallelBuildProbe(pr.output, ps.output, config.num_threads, pool,
-                            static_cast<const T*>(nullptr));
+    bp = ParallelBuildProbe(pr.output, ps.output, runner.threads(),
+                            runner.pool(), static_cast<const T*>(nullptr));
   }
   auto& reg = obs::Registry::Global();
   reg.GetCounter("join.radix.runs", "runs", "CPU radix joins completed")

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -21,24 +20,25 @@ namespace fpart {
 namespace internal {
 
 /// Parallel sort of (key, payload-id) pairs: chunk sort + merge rounds.
+/// Inputs under 4096 pairs sort serially (hand-off would dominate).
 inline void ParallelSortPairs(std::vector<std::pair<uint64_t, uint64_t>>* v,
-                              size_t num_threads, ThreadPool* pool) {
+                              ShardRunner& runner) {
   const size_t n = v->size();
-  if (num_threads <= 1 || pool == nullptr || n < 4096) {
+  if (runner.threads() == 1 || n < 4096) {
     std::sort(v->begin(), v->end());
     return;
   }
-  std::vector<size_t> bounds;
-  for (size_t t = 0; t <= num_threads; ++t) bounds.push_back(n * t / num_threads);
-  pool->ParallelFor(num_threads, [&](size_t t) {
-    std::sort(v->begin() + bounds[t], v->begin() + bounds[t + 1]);
+  std::vector<size_t> bounds(runner.threads() + 1, n);
+  runner.Split(n, [&](size_t t, size_t begin, size_t end) {
+    bounds[t] = begin;
+    std::sort(v->begin() + begin, v->begin() + end);
   });
   // Pairwise merge rounds until a single sorted run remains.
   while (bounds.size() > 2) {
     std::vector<size_t> next;
     next.push_back(0);
     size_t pairs = (bounds.size() - 1) / 2;
-    pool->ParallelFor(pairs, [&](size_t i) {
+    runner.Run(pairs, [&](size_t i) {
       std::inplace_merge(v->begin() + bounds[2 * i],
                          v->begin() + bounds[2 * i + 1],
                          v->begin() + bounds[2 * i + 2]);
@@ -52,17 +52,13 @@ inline void ParallelSortPairs(std::vector<std::pair<uint64_t, uint64_t>>* v,
 }  // namespace internal
 
 /// Execute R ⋈ S by sorting both relations on the key and merging.
+/// `shared_pool` runs the sorts; when null and num_threads > 1 the call
+/// builds one pool for itself.
 template <typename T>
 Result<JoinResult> SortMergeJoin(size_t num_threads, const Relation<T>& r,
                                  const Relation<T>& s,
                                  ThreadPool* shared_pool = nullptr) {
-  num_threads = std::max<size_t>(1, num_threads);
-  std::unique_ptr<ThreadPool> own_pool;
-  ThreadPool* pool = shared_pool;
-  if (pool == nullptr && num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(num_threads);
-    pool = own_pool.get();
-  }
+  ShardRunner runner(shared_pool, num_threads);
 
   std::vector<std::pair<uint64_t, uint64_t>> rs(r.size()), ss(s.size());
   for (size_t i = 0; i < r.size(); ++i) {
@@ -73,8 +69,8 @@ Result<JoinResult> SortMergeJoin(size_t num_threads, const Relation<T>& r,
   }
 
   Timer sort_timer;
-  internal::ParallelSortPairs(&rs, num_threads, pool);
-  internal::ParallelSortPairs(&ss, num_threads, pool);
+  internal::ParallelSortPairs(&rs, runner);
+  internal::ParallelSortPairs(&ss, runner);
   double sort_seconds = sort_timer.Seconds();
 
   // Merge: for each equal-key run, matches += |run_R| × |run_S|.

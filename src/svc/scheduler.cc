@@ -692,7 +692,6 @@ Status Scheduler::RunPartitionJob(JobRecord* rec, JobOutcome* out) {
   req.engine = on_cpu ? Engine::kCpu : Engine::kFpgaSim;
   // A job's CPU phases run inline on its worker thread.
   req.num_threads = 1;
-  req.pool = nullptr;
   req.cancel = &rec->cancel;
   auto run = [&] { return RunPartition<Tuple8>(req, *rec->partition.input); };
   auto result = on_cpu ? RunCpuBusy(run) : RunLeased(rec, [&] {

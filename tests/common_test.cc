@@ -321,66 +321,69 @@ TEST(ThreadPoolTest, WorkersPublishContext) {
   EXPECT_TRUE(ctx_ok);
 }
 
-TEST(ThreadPoolTest, NodeChunksCoverRangeExactlyOnce) {
-  // n workers, n chunks: every element of [0, total) must be visited by
-  // exactly one chunk, whichever workers end up claiming or stealing.
-  ThreadPool pool(4, "tp-chunks", AffinityPolicy::kNone);
+TEST(ShardRunnerTest, SplitCoversRangeExactlyOnceInEvenShards) {
+  ThreadPool pool(3, "tp-shards", AffinityPolicy::kNone);
+  ShardRunner runner(&pool, 4);  // more shards than workers
+  EXPECT_EQ(runner.pool(), &pool);
   const size_t total = 1003;  // deliberately not a multiple of 4
   std::vector<std::atomic<int>> hits(total);
-  std::atomic<size_t> chunks{0};
-  pool.ParallelForNodeChunks(total, [&](size_t, size_t begin, size_t end) {
-    chunks.fetch_add(1);
+  std::vector<std::pair<size_t, size_t>> ranges(4);
+  runner.Split(total, [&](size_t t, size_t begin, size_t end) {
+    ranges[t] = {begin, end};
     for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
   });
-  EXPECT_EQ(chunks.load(), 4u);
+  for (size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(ranges[t], (std::pair<size_t, size_t>(total * t / 4,
+                                                    total * (t + 1) / 4)));
+  }
   for (size_t i = 0; i < total; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "element " << i;
   }
 }
 
-TEST(ThreadPoolTest, NodeChunksRunEachChunkIdOnce) {
-  ThreadPool pool(3, "tp-chunkid", AffinityPolicy::kCompact);
+TEST(ShardRunnerTest, NullPoolBuildsOnePoolForTheCall) {
+  ShardRunner runner(nullptr, 3);
+  ASSERT_NE(runner.pool(), nullptr);
+  EXPECT_EQ(runner.pool()->num_threads(), 3u);
   std::mutex mu;
   std::set<size_t> seen;
-  std::vector<std::pair<size_t, size_t>> ranges(3);
-  pool.ParallelForNodeChunks(300, [&](size_t c, size_t b, size_t e) {
+  runner.Run(3, [&](size_t t) {
     std::lock_guard<std::mutex> lock(mu);
-    EXPECT_TRUE(seen.insert(c).second) << "chunk " << c << " ran twice";
-    if (c < ranges.size()) ranges[c] = {b, e};
+    EXPECT_TRUE(seen.insert(t).second) << "shard " << t << " ran twice";
   });
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(ranges[0], (std::pair<size_t, size_t>(0, 100)));
-  EXPECT_EQ(ranges[1], (std::pair<size_t, size_t>(100, 200)));
-  EXPECT_EQ(ranges[2], (std::pair<size_t, size_t>(200, 300)));
+  EXPECT_EQ(seen.size(), 3u);
 }
 
-TEST(ThreadPoolTest, NodeChunksSingleThreadRunsInline) {
-  ThreadPool pool(1);
+TEST(ShardRunnerTest, OneShardRunsInlineWithoutAPool) {
+  ShardRunner runner(nullptr, 0);  // 0 threads means 1
+  EXPECT_EQ(runner.threads(), 1u);
+  EXPECT_EQ(runner.pool(), nullptr);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id seen;
-  size_t chunk = 99, begin = 99, end = 0;
-  pool.ParallelForNodeChunks(42, [&](size_t c, size_t b, size_t e) {
+  size_t shard = 99, begin = 99, end = 0;
+  runner.Split(42, [&](size_t t, size_t b, size_t e) {
     seen = std::this_thread::get_id();
-    chunk = c;
+    shard = t;
     begin = b;
     end = e;
   });
   EXPECT_EQ(seen, caller);
-  EXPECT_EQ(chunk, 0u);
+  EXPECT_EQ(shard, 0u);
   EXPECT_EQ(begin, 0u);
   EXPECT_EQ(end, 42u);
 }
 
-TEST(ThreadPoolTest, NodeChunksZeroTotalStillCalledOnce) {
-  ThreadPool pool(3);
+TEST(ShardRunnerTest, ShardExceptionsPropagate) {
+  ShardRunner runner(nullptr, 2);
+  EXPECT_THROW(runner.Run(2,
+                          [](size_t t) {
+                            if (t == 1) throw std::runtime_error("shard 1");
+                          }),
+               std::runtime_error);
+  // The runner's pool stays usable.
   std::atomic<int> calls{0};
-  size_t end = 99;
-  pool.ParallelForNodeChunks(0, [&](size_t, size_t, size_t e) {
-    calls.fetch_add(1);
-    end = e;
-  });
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(end, 0u);
+  runner.Run(2, [&](size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 2);
 }
 
 TEST(StatusTest, SloErrorIsTypedAndDistinct) {
